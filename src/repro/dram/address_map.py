@@ -114,17 +114,15 @@ class DecodedBursts:
 class BurstColumns:
     """Vectorized request→burst expansion over address/size columns.
 
-    ``request_index[k]`` is the request owning burst ``k``;
     ``addresses[k]`` is the aligned burst address; ``offsets`` has one
     entry per request plus a terminator, so request ``i`` owns bursts
     ``offsets[i]:offsets[i+1]``. Burst order equals the scalar
     :meth:`AddressMap.split_request` order over the request sequence.
     """
 
-    __slots__ = ("request_index", "addresses", "offsets")
+    __slots__ = ("addresses", "offsets")
 
-    def __init__(self, request_index, addresses, offsets) -> None:
-        self.request_index = request_index
+    def __init__(self, addresses, offsets) -> None:
         self.addresses = addresses
         self.offsets = offsets
 
@@ -210,7 +208,7 @@ class AddressMap:
         """Vectorized :meth:`split_request` over address/size columns.
 
         Returns the aligned burst addresses of every request in order,
-        with the owning request index per burst — the columnar twin of
+        with per-request offsets into them — the columnar twin of
         building per-request ``Burst`` lists. Requires numpy.
         """
         np = numpy_or_none()
@@ -230,7 +228,6 @@ class AddressMap:
         position = np.arange(int(offsets[-1]), dtype=np.int64) - offsets[request_index]
         burst_number = first[request_index] + position.astype(np.uint64)
         return BurstColumns(
-            request_index=request_index,
             addresses=burst_number * np.uint64(burst_size),
             offsets=offsets,
         )

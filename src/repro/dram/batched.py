@@ -1,4 +1,4 @@
-"""Batched open-loop memory-system replay (crossbar + FR-FCFS DRAM).
+"""Batched memory-system replay (crossbar + FR-FCFS DRAM).
 
 The scalar replay path (:class:`~repro.interconnect.crossbar.Crossbar`
 feeding :class:`~repro.dram.memory_system.MemorySystem`) walks one
@@ -7,35 +7,36 @@ all of its cost is interpreter overhead — object construction,
 per-burst method dispatch, ``_BurstQueue`` bookkeeping — not model
 work. This module adds the columnar twin: :class:`BatchedReplay`
 consumes :class:`~repro.core.columnar.ColumnarTrace` blocks and
-replays them in regimes that are **bit-identical** to the scalar event
-loop, field for field on :class:`~repro.dram.stats.MemorySystemStats`.
+replays them **bit-identically** to the scalar event loop, field for
+field on :class:`~repro.dram.stats.MemorySystemStats`.
 
-Epoch contract
---------------
+Span transcription
+------------------
 
-The stream is processed in spans, and each span runs in one of two
-tiers:
-
-1. **Quiescent epochs** (every controller fully drained — a request
-   arriving after that point starts a new epoch): when each burst is
-   provably *alone* in its controller, the open-adaptive policy has
-   closed form (every burst a row miss against a precharged bank,
-   queue length 0, per-channel finishes follow the max-plus recurrence
-   ``finish[k] = max(A[k], finish[k-1] + B[k])``) and whole columns
-   commit via one ``cumsum``/``cummax`` scan per channel.
-2. **Transcribed replay** everywhere else: a faithful transcription of
-   the whole scalar loop — crossbar forward times,
-   ``MemorySystem.submit`` (including queue-full backpressure relief)
-   and the :class:`~repro.dram.controller.MemoryController` event loop
-   (FR-FCFS pick, open-adaptive row retention, write-drain watermarks,
-   turnaround records) — over primitive ints, dicts and lists instead
-   of ``Burst`` objects and per-burst method dispatch. Backpressure is
-   handled inline exactly as the scalar loop handles it, so the
-   transcription never diverges and each span commits whole.
-
-Span commits write queues, bank states, flags and statistics back into
-the real objects, so both tiers interleave freely with each other and
+Each block replays as one span: a faithful transcription of the whole
+scalar loop — crossbar forward times, ``MemorySystem.submit``
+(including queue-full backpressure relief), the
+:class:`~repro.dram.controller.MemoryController` event loop (FR-FCFS
+pick, open-adaptive row retention, write-drain watermarks, turnaround
+records) and per-request completion, including the
+``on_request_complete`` hook in scalar completion order — over
+primitive ints, dicts and lists instead of ``Burst`` objects and
+per-burst method dispatch. Backpressure is handled inline exactly as
+the scalar loop handles it, so a span never diverges and commits
+whole: queues, bank states, flags and statistics are written back into
+the real objects, so spans interleave freely with scalar sends and
 with the final scalar drain.
+
+Feedback (Option B)
+-------------------
+
+With ``feedback=True`` the engine replays the paper's coupled mode
+("Simulator Feedback"): each request is shifted by the sum of the
+crossbar delays every earlier request saw, exactly as
+:class:`~repro.core.synthesis.FeedbackSynthesizer` feeding
+``Crossbar.send`` does. Feedback never changes *which* requests are
+drawn, so Option B is open-loop replay carrying one extra integer —
+the offset — across spans and blocks.
 
 Fallback matrix
 ---------------
@@ -49,21 +50,16 @@ of these hold; results stay identical, only speed changes:
 * the page policy is not ``open`` or ``open_adaptive``,
 * an observability event sink is attached (per-burst events cannot be
   replayed from columns),
-* a per-request completion hook is installed on the memory system,
 * timestamps exceed the int64 fast-path ceiling.
-
-The tier-1 quiescent scan additionally requires ``open_adaptive`` and
-``t_rp <= t_rcd + t_burst`` (the bank-locality argument that keeps its
-recurrence first-order); spans failing those run the transcription.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
 from .. import obs
 from ..core.columnar import ColumnarTrace, numpy_or_none
-from ..core.request import Operation
+from ..core.request import MemoryRequest, Operation
 from ..interconnect.crossbar import Crossbar, CrossbarConfig
 from .address_map import Burst
 from .config import MemoryConfig
@@ -71,16 +67,6 @@ from .controller import _BankState, _BurstQueue
 from .memory_system import MemorySystem
 from .stats import MemorySystemStats
 
-#: Minimum requests left in a span to justify a quiescent-scan attempt.
-_MIN_ATTEMPT = 64
-#: Quiescent commits smaller than this count as a failed attempt.
-_MIN_COMMIT = 32
-#: Requests to replay before retrying the quiescent scan after a failure.
-_COOLDOWN = 256
-#: Requests per quiescent-scan window.
-_MAX_WINDOW = 65536
-#: Requests per transcription span (tier-1 re-check granularity).
-_SPAN = 4096
 #: Timestamp ceiling for the int64 fast-path arithmetic.
 _TIME_CEILING = 1 << 61
 
@@ -114,62 +100,33 @@ def batched_replay_supported(
 
 
 class BatchedReplay:
-    """Open-loop replay engine over column blocks.
+    """Replay engine over column blocks.
 
     Feed time-ordered :class:`ColumnarTrace` blocks with :meth:`feed`
-    (pass ``final=True`` on the last one), then call :meth:`finish` to
-    drain and read the statistics. The engine owns a real
-    :class:`MemorySystem` + :class:`Crossbar`; every span commit
-    writes queues, bank states, flags and statistics back into those
-    objects, so fast spans and scalar interop mix seamlessly.
+    (or requests the column store cannot hold with :meth:`send_each`),
+    then call :meth:`finish` to drain and read the statistics. The
+    engine owns a real :class:`MemorySystem` + :class:`Crossbar`; every
+    span commit writes queues, bank states, flags and statistics back
+    into those objects, so fast spans and scalar interop mix
+    seamlessly. ``feedback=True`` replays Option B (see the module
+    docstring).
     """
 
-    __slots__ = (
-        "memory",
-        "crossbar",
-        "_np",
-        "_fast_ok",
-        "_cooldown",
-        "_obs",
-        "_obs_enqueued",
-        "_obs_issued",
-        "_obs_row_hits",
-        "_obs_forwarded",
-        "_obs_delay",
-        "_obs_stalls",
-        "_obs_stall_cycles",
-        "_obs_read_depth",
-        "_obs_write_depth",
-    )
+    __slots__ = ("memory", "crossbar", "_np", "_fast_ok", "_feedback", "_offset", "_obs")
 
     def __init__(
         self,
         config: Optional[MemoryConfig] = None,
         crossbar_config: Optional[CrossbarConfig] = None,
+        feedback: bool = False,
     ) -> None:
         self.memory = MemorySystem(config)
         self.crossbar = Crossbar(self.memory, crossbar_config)
         self._np = numpy_or_none()
         self._fast_ok = batched_replay_supported(self.memory.config, self.crossbar.config)
-        self._cooldown = 0
-        registry = obs.active()
-        self._obs = registry if registry is not None and registry.sink is None else None
-        if self._obs is not None:
-            self._obs_enqueued = registry.counter("dram.enqueued")
-            self._obs_issued = registry.counter("dram.issued")
-            self._obs_row_hits = registry.counter("dram.row_hits")
-            self._obs_forwarded = registry.counter("crossbar.forwarded")
-            self._obs_delay = registry.histogram("crossbar.delay_cycles")
-            self._obs_stalls = registry.counter("crossbar.stalls")
-            self._obs_stall_cycles = registry.counter("crossbar.stall_cycles")
-            self._obs_read_depth = [
-                registry.histogram(f"dram.ch{c}.read_queue_depth")
-                for c in range(self.memory.config.num_channels)
-            ]
-            self._obs_write_depth = [
-                registry.histogram(f"dram.ch{c}.write_queue_depth")
-                for c in range(self.memory.config.num_channels)
-            ]
+        self._feedback = feedback
+        self._offset = 0
+        self._obs = obs.active()
 
     @property
     def stats(self) -> MemorySystemStats:
@@ -177,25 +134,43 @@ class BatchedReplay:
 
     # -- driving ---------------------------------------------------------------
 
-    def feed(self, block: ColumnarTrace, final: bool = False) -> None:
-        """Replay one column block (requests in time order).
-
-        ``final=True`` asserts no further blocks follow, which lets the
-        quiescent scan certify the last burst per channel instead of
-        leaving it to the transcription.
-        """
-        n = len(block)
-        if not n:
+    def feed(self, block: ColumnarTrace) -> None:
+        """Replay one column block (requests in time order)."""
+        if not len(block):
             return
-        if self._fast_ok and self.memory.on_request_complete is None:
-            np = self._np
-            ts = np.asarray(block.timestamps, dtype=np.uint64)
+        if self._fast_ok:
+            ts = self._np.asarray(block.timestamps, dtype=self._np.uint64)
             if int(ts.max()) <= _TIME_CEILING:
-                self._feed_fast(block, ts.astype(np.int64), final)
+                self._run_span(block, ts.tolist())
                 return
+        self.send_each(block.iter_requests())
+
+    def send_each(self, requests: Iterable[MemoryRequest]) -> None:
+        """Forward requests one at a time through the scalar crossbar.
+
+        The path for requests the span loop cannot take; in feedback
+        mode it shifts each request by the offset, as
+        :class:`~repro.core.synthesis.FeedbackSynthesizer` does.
+        """
+        if not self._feedback:
+            self.crossbar.send_many(requests)
+            return
         send = self.crossbar.send
-        for request in block.iter_requests():
-            send(request)
+        offset = self._offset
+        events = 0
+        for request in requests:
+            if offset:
+                request = MemoryRequest(
+                    request.timestamp + offset,
+                    request.address,
+                    request.operation,
+                    request.size,
+                )
+            delay = send(request)
+            if delay:
+                offset += delay
+                events += 1
+        self._commit_feedback(offset, events)
 
     def finish(self) -> MemorySystemStats:
         """Drain every queued burst and return the system statistics."""
@@ -204,72 +179,19 @@ class BatchedReplay:
 
     # -- internals -------------------------------------------------------------
 
-    def _feed_fast(self, block: ColumnarTrace, ts, final: bool) -> None:
-        np = self._np
-        n = len(block)
-        address_map = self.memory.address_map
-        expand = address_map.expand_many(block.addresses, block.sizes)
-        decoded = address_map.decode_many(expand.addresses)
-        ops = np.asarray(block.ops, dtype=np.int64)
-        burst_write = ops[expand.request_index]
-        controllers = self.memory.controllers
-        quiescent_ok = (
-            self.memory.config.page_policy == "open_adaptive"
-            and self.memory.config.timing.t_rp
-            <= self.memory.config.timing.t_rcd + self.memory.config.timing.t_burst
-        )
-        lists = None
+    def _commit_feedback(self, offset: int, events: int) -> None:
+        """Advance the feedback offset; ``events`` delays were nonzero."""
+        registry = self._obs
+        if registry is not None and events:
+            registry.counter("synthesis.backpressure_events").inc(events)
+            registry.counter("synthesis.backpressure_delay_cycles").inc(offset - self._offset)
+            registry.gauge("synthesis.accumulated_delay_cycles").set(offset)
+        self._offset = offset
 
-        i = 0
-        while i < n:
-            if (
-                quiescent_ok
-                and self._cooldown <= 0
-                and n - i >= _MIN_ATTEMPT
-                and not any(c.pending for c in controllers)
-            ):
-                committed = self._attempt(
-                    i, n, final, ts, expand, decoded.channel, decoded.bank_id,
-                    burst_write,
-                )
-                if committed:
-                    i += committed
-                    if committed >= _MIN_COMMIT:
-                        continue
-                self._cooldown = _COOLDOWN
-            if lists is None:
-                lists = (
-                    ts.tolist(),
-                    expand.offsets.tolist(),
-                    decoded.channel.tolist(),
-                    decoded.bank_id.tolist(),
-                    decoded.row.tolist(),
-                    _tolist(block.ops),
-                    expand.addresses,
-                )
-            end = min(n, i + _SPAN)
-            self._run_span(i, end, lists)
-            self._cooldown -= end - i
-            i = end
+    def _run_span(self, block: ColumnarTrace, ts_l) -> None:
+        """Replay one block as a transcription of the scalar loop.
 
-    def _forward_times(self, t):
-        """Crossbar forward times for a window, assuming no backpressure."""
-        np = self._np
-        crossbar = self.crossbar
-        gap = crossbar.config.min_gap
-        steps = np.arange(len(t), dtype=np.int64) * gap
-        shifted = (t + crossbar.config.latency) - steps
-        carry = crossbar._last_forward_time
-        if carry is not None and carry + gap > int(shifted[0]):
-            shifted[0] = carry + gap
-        return np.maximum.accumulate(shifted) + steps
-
-    # -- tier 2: transcribed replay --------------------------------------------
-
-    def _run_span(self, i, end, lists) -> None:
-        """Replay requests [i, end) as a transcription of the scalar loop.
-
-        One pass over the span reproduces, over primitive ints, exactly
+        One pass over the block reproduces, over primitive ints, exactly
         what ``Crossbar.send`` + ``MemorySystem.submit`` + the
         controllers' ``service_until``/``service_one``/``enqueue`` do —
         including queue-full backpressure relief and every statistics
@@ -278,9 +200,18 @@ class BatchedReplay:
         directly (the commit is unconditional, so no rollback is ever
         needed).
         """
-        ts_l, off_l, chan_l, bank_l, row_l, ops_l, addresses = lists
         memory = self.memory
         crossbar = self.crossbar
+        address_map = memory.address_map
+        expand = address_map.expand_many(block.addresses, block.sizes)
+        decoded = address_map.decode_many(expand.addresses)
+        addresses = expand.addresses
+        off_l = expand.offsets.tolist()
+        chan_l = decoded.channel.tolist()
+        bank_l = decoded.bank_id.tolist()
+        row_l = decoded.row.tolist()
+        ops_l = _tolist(block.ops)
+        n = len(ts_l)
         config = memory.config
         timing = config.timing
         t_rp = timing.t_rp
@@ -357,6 +288,9 @@ class BatchedReplay:
         depw_l = [[0, 0, None, None] for _ in range(num_channels)]
 
         outstanding = memory._outstanding
+        hook = memory.on_request_complete
+        feedback = self._feedback
+        offset = self._offset
         lat = [0, 0]  # latency_sum delta, latency_count delta
         xb = [0, 0, None, None]  # crossbar delay count/total/min/max
         stalls = [0, 0]  # count, cycles
@@ -501,9 +435,12 @@ class BatchedReplay:
                 if completion > entry[2]:
                     entry[2] = completion
                 if entry[0] == 0:
-                    lat[0] += entry[2] - entry[1]
+                    latency = entry[2] - entry[1]
+                    lat[0] += latency
                     lat[1] += 1
                     del outstanding[rid]
+                    if hook is not None:
+                        hook(rid, latency)
                 if limit is None:
                     freed = finish
                     break
@@ -514,8 +451,8 @@ class BatchedReplay:
             return freed
 
         # -- the scalar outer loop: crossbar.send + memory.submit ----------
-        for k in range(i, end):
-            t_k = ts_l[k]
+        for k in range(n):
+            t_k = ts_l[k] + offset
             forward = t_k + latency
             if carry is not None:
                 shifted = carry + gap
@@ -576,6 +513,8 @@ class BatchedReplay:
             carry = accept
             delay = accept - (t_k + latency)
             xb_total += delay
+            if feedback:
+                offset += delay
             if track:
                 xb[0] += 1
                 xb[1] += delay
@@ -588,10 +527,8 @@ class BatchedReplay:
                     stalls[1] += delay
 
         # -- commit back into the real objects -----------------------------
-        enqueued = off_l[end] - off_l[i]
         issued_total = 0
         hits_total = 0
-        address_map = memory.address_map
         for ch, controller in enumerate(controllers):
             stats = controller.stats
             issues = nr_l[ch] + nw_l[ch]
@@ -634,8 +571,8 @@ class BatchedReplay:
             )
             if track:
                 for summary, histogram in (
-                    (depr_l[ch], self._obs_read_depth[ch]),
-                    (depw_l[ch], self._obs_write_depth[ch]),
+                    (depr_l[ch], controller._obs_read_depth),
+                    (depw_l[ch], controller._obs_write_depth),
                 ):
                     if summary[0]:
                         histogram.observe_summary(*summary)
@@ -650,215 +587,19 @@ class BatchedReplay:
         crossbar._last_forward_time = carry
         crossbar.total_delay += xb_total
         if track:
-            if enqueued:
-                self._obs_enqueued.inc(enqueued)
+            registry = self._obs
+            registry.counter("dram.enqueued").inc(off_l[n])
             if issued_total:
-                self._obs_issued.inc(issued_total)
+                registry.counter("dram.issued").inc(issued_total)
             if hits_total:
-                self._obs_row_hits.inc(hits_total)
-            self._obs_forwarded.inc(end - i)
-            self._obs_delay.observe_summary(*xb)
+                registry.counter("dram.row_hits").inc(hits_total)
+            registry.counter("crossbar.forwarded").inc(n)
+            registry.histogram("crossbar.delay_cycles").observe_summary(*xb)
             if stalls[0]:
-                self._obs_stalls.inc(stalls[0])
-                self._obs_stall_cycles.inc(stalls[1])
-
-    # -- tier 1: quiescent-epoch vectorized scan -------------------------------
-
-    def _attempt(self, i, n, final, ts, expand, chan, bankid, burst_write) -> int:
-        """Vectorized scan over requests [i, min(i+window, n)) from a fully
-        drained state. Returns the number of requests committed (0 = the
-        alone-burst regime is not provable here)."""
-        np = self._np
-        end = min(n, i + _MAX_WINDOW)
-        win_final = final and end == n
-        m = end - i
-        t = ts[i:end]
-        forward = self._forward_times(t)
-
-        b0 = int(expand.offsets[i])
-        b1 = int(expand.offsets[end])
-        req = expand.request_index[b0:b1] - i
-        win_chan = chan[b0:b1]
-        win_bank = bankid[b0:b1]
-        win_write = burst_write[b0:b1]
-
-        timing = self.memory.config.timing
-        access = timing.t_rcd + timing.t_burst
-        cap = m
-        per_channel = []
-        for index, controller in enumerate(self.memory.controllers):
-            sel = np.nonzero(win_chan == index)[0]
-            if not sel.size:
-                per_channel.append(None)
-                continue
-            for state in controller._banks.values():
-                if state.open_row is not None:  # pragma: no cover - defensive
-                    return 0
-            arrivals = forward[req[sel]]
-            writes = win_write[sel]
-            banks = win_bank[sel]
-            count = sel.size
-
-            previous = np.empty(count, dtype=np.int64)
-            previous[1:] = writes[:-1]
-            last_was_write = controller._last_was_write
-            previous[0] = -1 if last_was_write is None else int(last_was_write)
-            penalty = np.where(
-                (previous >= 0) & (previous != writes),
-                np.where(previous == 1, timing.t_wtr, timing.t_rtw),
-                0,
-            )
-            same_bank = np.zeros(count, dtype=bool)
-            same_bank[1:] = banks[1:] == banks[:-1]
-            spacing = np.maximum(penalty, np.where(same_bank, timing.t_rp, 0)) + access
-
-            window_start = arrivals + access
-            unique_banks, first_seen = np.unique(banks, return_index=True)
-            for bank, position in zip(unique_banks.tolist(), first_seen.tolist()):
-                state = controller._banks.get(bank)
-                if state is not None:
-                    ready = state.ready_at + access
-                    if ready > int(window_start[position]):
-                        window_start[position] = ready
-            totals = np.cumsum(spacing)
-            slack = window_start - totals
-            bus_free = controller._bus_free_at
-            if bus_free > int(slack[0]):
-                slack[0] = bus_free
-            finish = np.maximum.accumulate(slack) + totals
-
-            decision = np.empty(count, dtype=np.int64)
-            decision[0] = max(int(arrivals[0]), bus_free)
-            if count > 1:
-                np.maximum(arrivals[1:], finish[:-1], out=decision[1:])
-                invalid = np.nonzero(decision[:-1] >= arrivals[1:])[0]
-                if invalid.size:
-                    cap = min(cap, int(req[sel[int(invalid[0])]]))
-            if not win_final:
-                # The channel's last burst stays uncertain until the
-                # next arrival on this channel is known.
-                cap = min(cap, int(req[sel[-1]]))
-            per_channel.append((sel, writes, banks, finish))
-
-        if cap <= 0:
-            return 0
-        self._commit_attempt(i, cap, t, forward, expand, req, per_channel)
-        return cap
-
-    def _commit_attempt(self, i, committed, t, forward, expand, req, per_channel):
-        """Apply a fully-valid alone-regime prefix as whole-column updates."""
-        np = self._np
-        memory = self.memory
-        timing = memory.config.timing
-        t_burst = timing.t_burst
-        t_rp = timing.t_rp
-        t_cl = timing.t_cl
-        total_bursts = int(expand.offsets[i + committed] - expand.offsets[i])
-        completions = np.empty(len(req), dtype=np.int64)
-
-        for index, data in enumerate(per_channel):
-            if data is None:
-                continue
-            sel, writes, banks, finish = data
-            channel_requests = req[sel]
-            issued = int(np.searchsorted(channel_requests, committed, side="left"))
-            if not issued:
-                continue
-            controller = memory.controllers[index]
-            stats = controller.stats
-            writes_c = writes[:issued]
-            banks_c = banks[:issued]
-            finish_c = finish[:issued]
-            write_count = int(writes_c.sum())
-            read_count = issued - write_count
-
-            stats.read_bursts += read_count
-            stats.write_bursts += write_count
-            if read_count:
-                stats.read_queue_len_seen[0] += read_count
-            if write_count:
-                stats.write_queue_len_seen[0] += write_count
-            bank_key = banks_c * 2 + writes_c
-            unique_keys, key_counts = np.unique(bank_key, return_counts=True)
-            for key, count in zip(unique_keys.tolist(), key_counts.tolist()):
-                if key & 1:
-                    stats.per_bank_writes[key >> 1] += count
-                else:
-                    stats.per_bank_reads[key >> 1] += count
-
-            # Write-drain turnaround records: in the alone regime a
-            # record lands exactly at each read→write transition of the
-            # per-channel service order.
-            previous_flag = np.empty(issued, dtype=np.int64)
-            previous_flag[1:] = writes_c[:-1]
-            previous_flag[0] = 1 if controller._draining_writes else 0
-            reads_before = np.cumsum(1 - writes_c) - (1 - writes_c)
-            transitions = np.nonzero((writes_c == 1) & (previous_flag == 0))[0]
-            if transitions.size:
-                values = reads_before[transitions]
-                stats.reads_per_turnaround.append(
-                    int(values[0]) + controller._reads_since_turnaround
-                )
-                if values.size > 1:
-                    stats.reads_per_turnaround.extend(
-                        int(v) for v in np.diff(values)
-                    )
-                controller._reads_since_turnaround = read_count - int(values[-1])
-            else:
-                controller._reads_since_turnaround += read_count
-            controller._draining_writes = bool(writes_c[-1])
-
-            if stats.first_issue_time < 0:
-                stats.first_issue_time = int(finish_c[0]) - t_burst
-            stats.last_finish_time = int(finish_c[-1])
-            stats.data_bus_busy_cycles += t_burst * issued
-
-            for bank in np.unique(banks_c).tolist():
-                state = controller._banks.get(bank)
-                if state is None:
-                    controller._banks[bank] = state = _BankState()
-                last_position = int(np.nonzero(banks_c == bank)[0][-1])
-                state.open_row = None
-                state.ready_at = int(finish_c[last_position]) + t_rp
-            controller._bus_free_at = int(finish_c[-1])
-            controller._last_was_write = bool(writes_c[-1])
-
-            completions[sel[:issued]] = finish_c + t_cl * (1 - writes_c)
-            if self._obs is not None:
-                self._obs_enqueued.inc(issued)
-                self._obs_issued.inc(issued)
-                if read_count:
-                    self._obs_read_depth[index].observe_many(1, read_count)
-                if write_count:
-                    self._obs_write_depth[index].observe_many(1, write_count)
-
-        request_offsets = expand.offsets[i : i + committed] - expand.offsets[i]
-        latencies = (
-            np.maximum.reduceat(completions[:total_bursts], request_offsets)
-            - t[:committed]
-        )
-        memory.stats.latency_sum += int(latencies.sum())
-        memory.stats.latency_count += committed
-        memory._next_request_id += committed
-        memory.last_request_id = memory._next_request_id - 1
-        accepted = int(forward[committed - 1])
-        memory._last_presented_time = accepted
-        memory._last_submit_time = accepted
-
-        crossbar = self.crossbar
-        delays = forward[:committed] - (t[:committed] + crossbar.config.latency)
-        delay_total = int(delays.sum())
-        crossbar._last_forward_time = accepted
-        crossbar.total_delay += delay_total
-        if self._obs is not None:
-            self._obs_forwarded.inc(committed)
-            self._obs_delay.observe_summary(
-                committed, delay_total, int(delays.min()), int(delays.max())
-            )
-            stalled = int(np.count_nonzero(delays))
-            if stalled:
-                self._obs_stalls.inc(stalled)
-                self._obs_stall_cycles.inc(delay_total)
+                registry.counter("crossbar.stalls").inc(stalls[0])
+                registry.counter("crossbar.stall_cycles").inc(stalls[1])
+        if feedback:
+            self._commit_feedback(offset, stalls[0])
 
 
 def _rebuild_queue(records, operation, addresses, address_map):

@@ -77,10 +77,10 @@ class Crossbar:
 
         The batch port of the scalar path: accepts any iterable of
         :class:`MemoryRequest` (including ``ColumnarTrace.iter_requests()``
-        output) and forwards each in order. The vectorized batch engine
-        (:class:`repro.dram.batched.BatchedReplay`) owns its crossbar
-        directly and bypasses this loop; ``send_many`` is what block
-        consumers call when that engine cannot engage.
+        output) and forwards each in order. The batch engine
+        (:class:`repro.dram.batched.BatchedReplay`) replays column
+        blocks without this loop and calls it only for requests its
+        span loop cannot take.
         """
         send = self.send
         total = 0

@@ -87,23 +87,6 @@ class Histogram:
             if self.max is None or value > self.max:
                 self.max = value
 
-    def observe_many(self, value: float, count: int) -> None:
-        """Record ``count`` observations of the same ``value`` at once.
-
-        The batched replay engine's bulk twin of calling
-        :meth:`observe` in a loop: identical resulting summary, one
-        critical section.
-        """
-        if count <= 0:
-            return
-        with self._lock:
-            self.count += count
-            self.total += value * count
-            if self.min is None or value < self.min:
-                self.min = value
-            if self.max is None or value > self.max:
-                self.max = value
-
     def observe_summary(
         self, count: int, total: float, minimum: float, maximum: float
     ) -> None:

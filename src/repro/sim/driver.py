@@ -5,21 +5,20 @@ feeding main memory through a crossbar. Three entry points:
 
 * :func:`simulate_trace` — replay a trace or any time-ordered request
   iterable (the *baseline* runs, and Option A synthesis);
-* :func:`simulate_profile` — coupled Option B: synthesis pulls requests
-  from a :class:`FeedbackSynthesizer` and feeds backpressure delays back
-  into its timestamps;
+* :func:`simulate_profile` — coupled Option B: the backpressure delay
+  each request sees shifts the timestamps of every later one;
 * :func:`simulate_synthetic` — Option A: profile -> streamed synthetic
   requests -> replay, without materializing the trace.
 
-Two equivalent replay engines sit behind the open-loop entry points,
-mirroring :mod:`repro.sim.cache_driver`: the scalar crossbar + memory
-event loop and the batched :class:`~repro.dram.batched.BatchedReplay`
-(columnar blocks, vectorized quiescent epochs). Both produce
-field-identical :class:`~repro.dram.stats.MemorySystemStats`; the
-resolved backend (see :mod:`repro.core.columnar`) picks the engine.
-The batched engine handles only the open-loop shape — Option B
-feedback synthesis, sanitize mode, ChargeCache, refresh and non-default
-page policies always take the scalar path
+Two equivalent replay engines sit behind every entry point, mirroring
+:mod:`repro.sim.cache_driver`: the scalar crossbar + memory event loop
+and the batched :class:`~repro.dram.batched.BatchedReplay` (columnar
+blocks through a span transcription of that loop; Option B carries the
+feedback offset through it). Both produce field-identical
+:class:`~repro.dram.stats.MemorySystemStats`; the resolved backend (see
+:mod:`repro.core.columnar`) picks the engine. Sanitize mode,
+ChargeCache, refresh and page policies other than ``open`` /
+``open_adaptive`` always take the scalar path
 (:func:`repro.dram.batched.batched_replay_supported` is the gate).
 
 Replay wall time is attributed to ``replay.crossbar`` (injection) and
@@ -31,7 +30,7 @@ from __future__ import annotations
 
 import random
 from itertools import islice
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Optional, Union
 
 from .. import obs
 from ..core.columnar import ColumnarTrace, resolve_backend
@@ -85,36 +84,32 @@ def _use_batched(
 def _feed_lazy(engine: BatchedReplay, requests: Iterable[MemoryRequest]) -> None:
     """Feed a lazy request stream to the batch engine, chunk by chunk.
 
-    One chunk of lookahead marks the final block so the engine can
-    certify the tail; a chunk whose values do not fit the column store
-    (columns are bounded, request objects are not) is sent scalar.
+    A chunk whose values do not fit the column store (columns are
+    bounded, request objects are not) is sent request by request.
     """
     iterator = iter(requests)
-    chunk = list(islice(iterator, _BATCH_CHUNK))
-    while chunk:
-        upcoming = list(islice(iterator, _BATCH_CHUNK))
+    while True:
+        chunk = list(islice(iterator, _BATCH_CHUNK))
+        if not chunk:
+            return
         try:
             block = ColumnarTrace.from_trace(chunk)
         except (ValueError, OverflowError):
-            block = None
-        if block is not None:
-            engine.feed(block, final=not upcoming)
+            engine.send_each(chunk)
         else:
-            send = engine.crossbar.send
-            for request in chunk:
-                send(request)
-        chunk = upcoming
+            engine.feed(block)
 
 
 def _replay_batched(
     source: Union[ColumnarTrace, Iterable[MemoryRequest]],
     config: Optional[MemoryConfig],
     crossbar_config: Optional[CrossbarConfig],
+    feedback: bool = False,
 ) -> MemorySystemStats:
-    engine = BatchedReplay(config, crossbar_config)
+    engine = BatchedReplay(config, crossbar_config, feedback=feedback)
     with obs.phase("replay.crossbar"):
         if isinstance(source, ColumnarTrace):
-            engine.feed(source, final=True)
+            engine.feed(source)
         else:
             _feed_lazy(engine, source)
     with obs.phase("replay.dram"):
@@ -180,12 +175,8 @@ def simulate_blocks(
     if _use_batched(backend, sanitize, config, crossbar_config):
         engine = BatchedReplay(config, crossbar_config)
         with obs.phase("replay.crossbar"):
-            iterator: Iterator[ColumnarTrace] = iter(blocks)
-            block = next(iterator, None)
-            while block is not None:
-                upcoming = next(iterator, None)
-                engine.feed(block, final=upcoming is None)
-                block = upcoming
+            for block in blocks:
+                engine.feed(block)
         with obs.phase("replay.dram"):
             return engine.finish()
     return simulate_trace(
@@ -204,13 +195,25 @@ def simulate_profile(
     seed: Union[int, random.Random, None] = 0,
     strict: bool = True,
     sanitize: Optional[bool] = None,
+    backend: Optional[str] = None,
 ) -> MemorySystemStats:
     """Coupled synthesis (Option B): backpressure feeds back into timing.
 
-    Always scalar: each request's timestamp depends on the delay the
-    previous one observed, so the stream cannot be batched ahead of the
-    simulator.
+    Each request is shifted by the summed crossbar delays of all earlier
+    requests. Feedback never changes which requests are drawn, so the
+    batched engine replays :func:`~repro.core.synthesis.synthesize_stream`
+    in column chunks and carries that running offset itself; the scalar
+    backend pulls from a :class:`FeedbackSynthesizer` one request at a
+    time. ``backend`` overrides the process-wide selection; both engines
+    return identical statistics.
     """
+    if _use_batched(backend, sanitize, config, crossbar_config):
+        return _replay_batched(
+            synthesize_stream(profile, seed=seed, strict=strict),
+            config,
+            crossbar_config,
+            feedback=True,
+        )
     memory = MemorySystem(config)
     crossbar = Crossbar(memory, crossbar_config)
     synthesizer = FeedbackSynthesizer(profile, seed=seed, strict=strict)

@@ -5,23 +5,36 @@ workload and configuration where the fast path engages, the batched
 engine produces a :class:`~repro.dram.stats.MemorySystemStats` equal
 *field for field* — including every per-channel
 :class:`~repro.dram.stats.ControllerStats` — to the scalar
-crossbar + FR-FCFS event loop; where the fast path cannot engage, it
-falls back to scalar code and equality is trivial but still asserted.
+crossbar + FR-FCFS event loop, in open-loop replay and in Option B
+feedback replay alike; where the fast path cannot engage, it falls
+back to scalar code and equality is trivial but still asserted.
 """
 
 import dataclasses
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
+from repro.core import synthesis
 from repro.core.columnar import ColumnarTrace
 from repro.core.hierarchy import two_level_ts
+from repro.core.profile import Profile
 from repro.core.profiler import build_profile
+from repro.core.request import MemoryRequest, Operation
 from repro.dram.batched import BatchedReplay, batched_replay_supported
 from repro.dram.config import ChargeCacheConfig, DRAMTiming, MemoryConfig
-from repro.interconnect.crossbar import CrossbarConfig
-from repro.sim.driver import simulate_blocks, simulate_synthetic, simulate_trace
+from repro.interconnect.crossbar import Crossbar, CrossbarConfig
+from repro.sim import driver
+from repro.sim.driver import (
+    simulate_blocks,
+    simulate_profile,
+    simulate_synthetic,
+    simulate_trace,
+)
 from repro.workloads import TABLE_II_WORKLOADS, make_generator
 
 REQUESTS = 2_500
@@ -48,6 +61,10 @@ def _trace(name, num_requests=REQUESTS, seed=7):
     return make_generator(name, seed=seed).generate(num_requests)
 
 
+def _no_scalar_send(crossbar, request):
+    raise AssertionError("the engine fell back to a scalar send")
+
+
 class TestWorkloadSweep:
     """Every Table II workload, default config: batched == scalar."""
 
@@ -62,11 +79,10 @@ class TestWorkloadSweep:
 
 
 #: Configurations chosen to stress every regime: the default (mixed
-#: quiescent/contended), tiny queues (constant queue-full backpressure
+#: idle/contended), tiny queues (constant queue-full backpressure
 #: relief), watermark extremes, channel-count extremes, the plain
-#: ``open`` page policy (tier-1 scan ineligible) and a non-default
-#: crossbar. Refresh and ChargeCache configs gate the fast path off
-#: entirely and are covered separately below.
+#: ``open`` page policy and slow timing. Refresh and ChargeCache configs
+#: gate the fast path off entirely and are covered separately below.
 CONFIG_VARIANTS = {
     "default": MemoryConfig(),
     "tiny-queues": MemoryConfig(read_queue_size=3, write_queue_size=4),
@@ -81,7 +97,7 @@ CONFIG_VARIANTS = {
     ),
 }
 
-#: A contended and an uncontended workload exercise both tiers.
+#: Contended and uncontended workloads.
 SWEEP_WORKLOADS = ("hevc1", "opencl1", "crypto1", "fbc-tiled1")
 
 
@@ -151,7 +167,7 @@ class TestGatedConfigs:
         fallback = simulate_trace(trace, backend="columnar")
         _assert_stats_equal(scalar, fallback, "no-numpy")
 
-    def test_completion_hook_forces_scalar_sends(self):
+    def test_completion_hook_served_by_engine(self, monkeypatch):
         trace = _trace("trex2", 1_200)
         seen_scalar = []
         seen_batched = []
@@ -168,13 +184,16 @@ class TestGatedConfigs:
             memory.drain()
             return memory.stats
 
+        scalar = scalar_run()
+        # Forbid scalar sends: the engine must serve the hook itself.
+        monkeypatch.setattr(Crossbar, "send", _no_scalar_send)
         engine = BatchedReplay()
         engine.memory.on_request_complete = (
             lambda rid, lat: seen_batched.append((rid, lat))
         )
-        engine.feed(ColumnarTrace.from_trace(trace), final=True)
+        engine.feed(ColumnarTrace.from_trace(trace))
         batched = engine.finish()
-        _assert_stats_equal(scalar_run(), batched, "completion-hook")
+        _assert_stats_equal(scalar, batched, "completion-hook")
         assert seen_batched == seen_scalar
 
 
@@ -210,15 +229,183 @@ class TestEntryPoints:
         one_shot = simulate_trace(columns, backend="columnar")
         engine = BatchedReplay()
         blocks = list(columns.iter_blocks(block_requests=300))
-        for index, block in enumerate(blocks):
-            engine.feed(block, final=index == len(blocks) - 1)
+        for block in blocks:
+            engine.feed(block)
         _assert_stats_equal(one_shot, engine.finish(), "incremental")
 
     def test_empty_block_is_noop(self):
         engine = BatchedReplay()
-        engine.feed(ColumnarTrace.from_trace([]), final=True)
+        engine.feed(ColumnarTrace.from_trace([]))
         stats = engine.finish()
         assert stats.latency_count == 0
+
+
+#: Option B configs: the default, a starved single channel, write
+#: drain on a tiny write queue, the plain ``open`` policy and a crossbar
+#: whose serialization gap dominates its latency.
+FEEDBACK_CONFIGS = {
+    "default": (None, None),
+    "one-channel-rq4": (MemoryConfig(num_channels=1, read_queue_size=4), None),
+    "wq4-drain": (
+        MemoryConfig(
+            write_queue_size=4, write_high_threshold=0.75, write_low_threshold=0.25
+        ),
+        None,
+    ),
+    "open-policy": (MemoryConfig(page_policy="open"), None),
+    "gap3": (None, CrossbarConfig(latency=0, min_gap=3)),
+}
+
+FEEDBACK_REQUESTS = 1_500
+
+
+def _profile(name, num_requests=FEEDBACK_REQUESTS):
+    return build_profile(_trace(name, num_requests), two_level_ts())
+
+
+def _feedback_pair(profile, config=None, crossbar_config=None, seed=1, **kwargs):
+    scalar = simulate_profile(
+        profile, config, crossbar_config, seed=seed, backend="scalar", **kwargs
+    )
+    batched = simulate_profile(
+        profile, config, crossbar_config, seed=seed, backend="columnar", **kwargs
+    )
+    return scalar, batched
+
+
+def _replay_stream(requests, backend, config=None):
+    """``simulate_profile`` over a fixed request stream instead of a
+    profile's synthesis, so both engines see exactly ``requests``."""
+    stream = lambda profile, **_: iter(requests)  # noqa: E731
+    with mock.patch.object(synthesis, "synthesize_stream", stream), mock.patch.object(
+        driver, "synthesize_stream", stream
+    ):
+        return simulate_profile(Profile([]), config, backend=backend)
+
+
+@st.composite
+def small_traces(draw):
+    """Short bursty traces: equal timestamps, burst-crossing sizes."""
+    count = draw(st.integers(1, 40))
+    clock = draw(st.integers(0, 50))
+    requests = []
+    for _ in range(count):
+        clock += draw(st.sampled_from([0, 0, 1, 3, 40, 400]))
+        requests.append(
+            MemoryRequest(
+                clock,
+                draw(st.integers(0, 1 << 16)) * 16,
+                draw(st.sampled_from([Operation.READ, Operation.WRITE])),
+                draw(st.sampled_from([16, 64, 65, 100, 128, 200])),
+            )
+        )
+    return requests
+
+
+class TestFeedbackReplay:
+    """Option B: the engine carries the feedback offset bit-identically."""
+
+    @pytest.mark.parametrize("name", TABLE_II_WORKLOADS)
+    def test_workload_sweep(self, name):
+        scalar, batched = _feedback_pair(_profile(name))
+        _assert_stats_equal(scalar, batched, f"feedback/{name}")
+
+    @pytest.mark.parametrize("seed", (1, 2020))
+    @pytest.mark.parametrize("label", sorted(FEEDBACK_CONFIGS))
+    @pytest.mark.parametrize("name", SWEEP_WORKLOADS)
+    def test_config_sweep(self, name, label, seed):
+        config, crossbar = FEEDBACK_CONFIGS[label]
+        scalar, batched = _feedback_pair(_profile(name), config, crossbar, seed=seed)
+        _assert_stats_equal(scalar, batched, f"feedback/{name}/{label}/{seed}")
+
+    def test_empty_profile(self):
+        scalar, batched = _feedback_pair(Profile([]))
+        _assert_stats_equal(scalar, batched, "feedback/empty")
+        assert batched.latency_count == 0
+
+    def test_timestamps_straddling_the_ceiling(self, monkeypatch):
+        """Chunks above 2^61 take scalar sends; the offset crosses both ways."""
+        base = (1 << 61) - 3_000
+        requests = [
+            MemoryRequest(base + 7 * index, (index * 4_160) % (1 << 20),
+                          Operation(index % 3 == 0), 64 + 32 * (index % 3))
+            for index in range(900)
+        ]
+        assert requests[0].timestamp < 1 << 61 < requests[-1].timestamp
+        monkeypatch.setattr(driver, "_BATCH_CHUNK", 97)
+        scalar = _replay_stream(requests, "scalar")
+        batched = _replay_stream(requests, "columnar")
+        _assert_stats_equal(scalar, batched, "feedback/ceiling")
+        assert scalar.backpressure_delay
+
+    def test_unstorable_chunks_apply_the_offset(self, monkeypatch):
+        """Chunks the column store refuses are sent with the offset too."""
+        requests = [
+            MemoryRequest(5 * index, 64 * index, Operation.READ, 64)
+            for index in range(600)
+        ]
+        requests[450] = MemoryRequest(2_250, 1 << 70, Operation.WRITE, 64)
+        monkeypatch.setattr(driver, "_BATCH_CHUNK", 128)
+        scalar = _replay_stream(requests, "scalar")
+        batched = _replay_stream(requests, "columnar")
+        _assert_stats_equal(scalar, batched, "feedback/unstorable")
+
+    @pytest.mark.parametrize(
+        "label,config",
+        [
+            ("refresh", MemoryConfig(timing=DRAMTiming(t_refi=7_800, t_rfc=160))),
+            ("chargecache", MemoryConfig(charge_cache=ChargeCacheConfig())),
+        ],
+    )
+    def test_gated_configs(self, label, config):
+        assert not batched_replay_supported(config)
+        scalar, batched = _feedback_pair(_profile("hevc2", 800), config)
+        _assert_stats_equal(scalar, batched, f"feedback/{label}")
+
+    def test_event_sink(self, tmp_path):
+        profile = _profile("trex1", 600)
+        obs.enable(obs.JsonlEventSink(str(tmp_path / "events.jsonl")))
+        try:
+            scalar, batched = _feedback_pair(profile)
+        finally:
+            obs.disable()
+        _assert_stats_equal(scalar, batched, "feedback/event-sink")
+
+    def test_sanitize(self):
+        scalar, batched = _feedback_pair(_profile("cpu-d", 600), sanitize=True)
+        _assert_stats_equal(scalar, batched, "feedback/sanitize")
+
+    def test_no_numpy(self, monkeypatch):
+        profile = _profile("cpu-g", 600)
+        monkeypatch.setenv("MOCKTAILS_NO_NUMPY", "1")
+        scalar, batched = _feedback_pair(profile)
+        _assert_stats_equal(scalar, batched, "feedback/no-numpy")
+
+    def test_registry_values_match_scalar(self):
+        profile = _profile("opencl1")
+        snapshots = {}
+        for backend in ("scalar", "columnar"):
+            obs.enable()
+            try:
+                simulate_profile(profile, seed=1, backend=backend)
+                snapshots[backend] = obs.active().snapshot()
+            finally:
+                obs.disable()
+            snapshots[backend].pop("phases_seconds")
+        assert snapshots["columnar"] == snapshots["scalar"]
+        counters = snapshots["scalar"]["counters"]
+        assert counters["synthesis.backpressure_events"] > 0
+        assert counters["synthesis.backpressure_delay_cycles"] > 0
+        assert snapshots["scalar"]["gauges"]["synthesis.accumulated_delay_cycles"] > 0
+
+    @given(small_traces(), st.integers(1, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scalar_on_generated_traces(self, requests, chunk):
+        config = MemoryConfig(num_channels=2, read_queue_size=4, write_queue_size=8)
+        with mock.patch.object(driver, "_BATCH_CHUNK", chunk):
+            scalar = _replay_stream(requests, "scalar", config)
+            batched = _replay_stream(requests, "columnar", config)
+        _assert_stats_equal(scalar, batched, "feedback/generated")
 
 
 class TestObservability:
