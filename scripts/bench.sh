@@ -49,21 +49,6 @@ if build and sweep:
           f"(identical={data.get('columnar_identical')})")
 EOF
 
-# Job-queue service summary: the client storm's exactly-once accounting
-# and sustained throughput against the shared engine + store.
-python - "$snapshot" <<'EOF'
-import json, sys
-data = json.load(open(sys.argv[1]))
-clients = data.get("storm_clients")
-if clients:
-    print(f"service storm: {clients} clients, "
-          f"{data.get('storm_unique_computes')} computes "
-          f"(exactly_once={data.get('storm_exactly_once')}, "
-          f"dedupe hit rate {data.get('storm_dedupe_hit_rate'):.1%}), "
-          f"{data.get('storm_cold_jobs_per_sec'):.0f} jobs/s cold / "
-          f"{data.get('storm_warm_jobs_per_sec'):.0f} warm")
-EOF
-
 if [ -f "$repo/BENCH_manifest.json" ]; then
     echo "run manifest: BENCH_manifest.json"
 fi

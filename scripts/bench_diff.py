@@ -23,178 +23,68 @@ def _load_bench(path):
         print(f"error: {path} is not a BENCH snapshot "
               "(expected an object with a 'timings_seconds' mapping)", file=sys.stderr)
         raise SystemExit(2)
-    _check_schema4_fields(path, data)
-    _check_schema5_fields(path, data)
-    _check_schema6_fields(path, data)
-    _check_schema7_fields(path, data)
-    _check_schema8_fields(path, data)
-    _check_schema9_fields(path, data)
+    _check_required_fields(path, data)
     return data
 
 
-#: Snapshot fields introduced with the columnar backend (schema 4): the
-#: scalar/columnar micro-bench timings and their speedup summaries. A
-#: schema-4 snapshot missing any of them is a broken bench run, not a
-#: diffable measurement.
-_SCHEMA4_TIMINGS = (
-    "profile_build_scalar",
-    "profile_build_columnar",
-    "cache_sweep_scalar",
-    "cache_sweep_columnar",
-)
-_SCHEMA4_FIELDS = ("speedup_profile_build", "speedup_cache_sweep")
+#: Every required snapshot field -> the schema that introduced it. A
+#: snapshot of that schema or later that lacks the field is a broken
+#: bench run, not a diffable measurement. ``timings_seconds.<key>``
+#: names a timing; anything else is a top-level field.
+REQUIRED_FIELDS = {
+    # schema 4 - columnar backend: scalar/columnar micro-benches.
+    "timings_seconds.profile_build_scalar": 4,
+    "timings_seconds.profile_build_columnar": 4,
+    "timings_seconds.cache_sweep_scalar": 4,
+    "timings_seconds.cache_sweep_columnar": 4,
+    "speedup_profile_build": 4,
+    "speedup_cache_sweep": 4,
+    # schema 5 - streaming build: timing, ratio and peak memory.
+    "timings_seconds.profile_build_streamed": 5,
+    "streaming_identical": 5,
+    "streaming_over_columnar": 5,
+    "peak_profile_memory_bytes": 5,
+    "peak_profile_memory_bytes_inmemory": 5,
+    # schema 6 - statistical sampling: build speedup and error vs bound.
+    "timings_seconds.sampled_profile_build": 6,
+    "speedup_sampled_profile_build": 6,
+    "sampled_geomean_error_percent": 6,
+    "sampled_error_bound_percent": 6,
+    "sampled_within_bound": 6,
+    # schema 8 - whole-program lint: cold vs warm incremental cache.
+    "timings_seconds.lint_full": 8,
+    "timings_seconds.lint_warm": 8,
+    "lint_files": 8,
+    "lint_full_wall_seconds": 8,
+    "lint_warm_wall_seconds": 8,
+    "lint_cache_hits_warm": 8,
+    # schema 9 - batched memory-system replay and figure phase times.
+    "timings_seconds.dram_replay_scalar": 9,
+    "timings_seconds.dram_replay_batched": 9,
+    "dram_replay_identical": 9,
+    "speedup_dram_replay": 9,
+    "figure_phase_seconds": 9,
+}
 
 
-def _check_schema4_fields(path, data):
-    """Fail loudly when a schema>=4 snapshot lacks the columnar entries."""
+def _has_field(data, field):
+    section, _, key = field.rpartition(".")
+    return key in (data[section] if section else data)
+
+
+def _check_required_fields(path, data):
+    """Fail loudly when a snapshot lacks a field its schema requires."""
     schema = data.get("schema")
-    if not isinstance(schema, int) or schema < 4:
-        return  # pre-columnar snapshot: nothing to require
-    timings = data["timings_seconds"]
-    missing = [key for key in _SCHEMA4_TIMINGS if key not in timings]
-    missing += [f"top-level '{key}'" for key in _SCHEMA4_FIELDS if key not in data]
+    if not isinstance(schema, int):
+        return  # pre-versioned snapshot: nothing to require
+    missing = [
+        field
+        for field, introduced in REQUIRED_FIELDS.items()
+        if schema >= introduced and not _has_field(data, field)
+    ]
     if missing:
-        print(f"error: {path} (schema {schema}) is missing required columnar "
-              f"bench entries: {', '.join(missing)}; "
-              "re-run scripts/bench.sh to regenerate it", file=sys.stderr)
-        raise SystemExit(2)
-
-
-#: Snapshot fields introduced with the streaming build (schema 5): the
-#: streamed micro-bench timing, its ratio over the in-memory columnar
-#: build, and the tracemalloc peak allocation sizes of both builds.
-_SCHEMA5_TIMINGS = ("profile_build_streamed",)
-_SCHEMA5_FIELDS = (
-    "streaming_identical",
-    "streaming_over_columnar",
-    "peak_profile_memory_bytes",
-    "peak_profile_memory_bytes_inmemory",
-)
-
-
-def _check_schema5_fields(path, data):
-    """Fail loudly when a schema>=5 snapshot lacks the streaming entries."""
-    schema = data.get("schema")
-    if not isinstance(schema, int) or schema < 5:
-        return  # pre-streaming snapshot: nothing to require
-    timings = data["timings_seconds"]
-    missing = [key for key in _SCHEMA5_TIMINGS if key not in timings]
-    missing += [f"top-level '{key}'" for key in _SCHEMA5_FIELDS if key not in data]
-    if missing:
-        print(f"error: {path} (schema {schema}) is missing required streaming "
-              f"bench entries: {', '.join(missing)}; "
-              "re-run scripts/bench.sh to regenerate it", file=sys.stderr)
-        raise SystemExit(2)
-
-
-#: Snapshot fields introduced with statistical sampling (schema 6): the
-#: K-representative profile-build timing, its speedup over the full
-#: columnar build, and the estimator's measured-vs-declared error.
-_SCHEMA6_TIMINGS = ("sampled_profile_build",)
-_SCHEMA6_FIELDS = (
-    "speedup_sampled_profile_build",
-    "sampled_geomean_error_percent",
-    "sampled_error_bound_percent",
-    "sampled_within_bound",
-)
-
-
-def _check_schema6_fields(path, data):
-    """Fail loudly when a schema>=6 snapshot lacks the sampling entries."""
-    schema = data.get("schema")
-    if not isinstance(schema, int) or schema < 6:
-        return  # pre-sampling snapshot: nothing to require
-    timings = data["timings_seconds"]
-    missing = [key for key in _SCHEMA6_TIMINGS if key not in timings]
-    missing += [f"top-level '{key}'" for key in _SCHEMA6_FIELDS if key not in data]
-    if missing:
-        print(f"error: {path} (schema {schema}) is missing required sampling "
-              f"bench entries: {', '.join(missing)}; "
-              "re-run scripts/bench.sh to regenerate it", file=sys.stderr)
-        raise SystemExit(2)
-
-
-#: Snapshot fields introduced with the job-queue service (schema 7):
-#: the client-storm timings (cold store, then the same storm warm) and
-#: the exactly-once/dedupe accounting of the engine underneath it.
-_SCHEMA7_TIMINGS = ("service_storm_cold", "service_storm_warm")
-_SCHEMA7_FIELDS = (
-    "storm_clients",
-    "storm_unique_jobs",
-    "storm_unique_computes",
-    "storm_exactly_once",
-    "storm_dedupe_hit_rate",
-    "storm_cold_jobs_per_sec",
-    "storm_warm_jobs_per_sec",
-)
-
-
-def _check_schema7_fields(path, data):
-    """Fail loudly when a schema>=7 snapshot lacks the service entries."""
-    schema = data.get("schema")
-    if not isinstance(schema, int) or schema < 7:
-        return  # pre-service snapshot: nothing to require
-    timings = data["timings_seconds"]
-    missing = [key for key in _SCHEMA7_TIMINGS if key not in timings]
-    missing += [f"top-level '{key}'" for key in _SCHEMA7_FIELDS if key not in data]
-    if missing:
-        print(f"error: {path} (schema {schema}) is missing required service "
-              f"storm entries: {', '.join(missing)}; "
-              "re-run scripts/bench.sh to regenerate it", file=sys.stderr)
-        raise SystemExit(2)
-
-
-#: Snapshot fields introduced with the two-phase lint engine (schema 8):
-#: full-repo lint wall time cold vs warm through the incremental
-#: per-file cache, and the warm run's hit count (must equal the file
-#: count — a warm lint re-parses nothing).
-_SCHEMA8_TIMINGS = ("lint_full", "lint_warm")
-_SCHEMA8_FIELDS = (
-    "lint_files",
-    "lint_full_wall_seconds",
-    "lint_warm_wall_seconds",
-    "lint_cache_hits_warm",
-)
-
-
-def _check_schema8_fields(path, data):
-    """Fail loudly when a schema>=8 snapshot lacks the lint entries."""
-    schema = data.get("schema")
-    if not isinstance(schema, int) or schema < 8:
-        return  # pre-lint-bench snapshot: nothing to require
-    timings = data["timings_seconds"]
-    missing = [key for key in _SCHEMA8_TIMINGS if key not in timings]
-    missing += [f"top-level '{key}'" for key in _SCHEMA8_FIELDS if key not in data]
-    if missing:
-        print(f"error: {path} (schema {schema}) is missing required lint "
-              f"bench entries: {', '.join(missing)}; "
-              "re-run scripts/bench.sh to regenerate it", file=sys.stderr)
-        raise SystemExit(2)
-
-
-#: Snapshot fields introduced with batched memory-system replay
-#: (schema 9): the scalar-vs-batched DRAM replay micro timings, their
-#: speedup on bit-identical stats, and the serial figure wall time
-#: attributed to synthesis/crossbar/DRAM phases.
-_SCHEMA9_TIMINGS = ("dram_replay_scalar", "dram_replay_batched")
-_SCHEMA9_FIELDS = (
-    "dram_replay_identical",
-    "speedup_dram_replay",
-    "figure_phase_seconds",
-)
-
-
-def _check_schema9_fields(path, data):
-    """Fail loudly when a schema>=9 snapshot lacks the replay entries."""
-    schema = data.get("schema")
-    if not isinstance(schema, int) or schema < 9:
-        return  # pre-batched-replay snapshot: nothing to require
-    timings = data["timings_seconds"]
-    missing = [key for key in _SCHEMA9_TIMINGS if key not in timings]
-    missing += [f"top-level '{key}'" for key in _SCHEMA9_FIELDS if key not in data]
-    if missing:
-        print(f"error: {path} (schema {schema}) is missing required batched "
-              f"replay bench entries: {', '.join(missing)}; "
+        print(f"error: {path} (schema {schema}) is missing required bench "
+              f"entries: {', '.join(missing)}; "
               "re-run scripts/bench.sh to regenerate it", file=sys.stderr)
         raise SystemExit(2)
 

@@ -1,10 +1,9 @@
 """Worker-pool construction shared by every fan-out in the repo.
 
-Moved here from ``repro.eval.parallel`` so the streaming profiler's
-shard fan-out, the experiment prewarm and the service scheduler all
-build identical pools: fork-preferred (cheap workers), observability
-disabled in children (their registries would die with the process and a
-forked JSONL handle would interleave with the parent's stream).
+The streaming profiler's shard fan-out and the experiment prewarm build
+identical pools: fork-preferred (cheap workers), observability disabled
+in children (their registries would die with the process and a forked
+JSONL handle would interleave with the parent's stream).
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Optional
 
 
 def default_processes() -> int:
@@ -26,28 +24,16 @@ def _worker_init() -> None:
     obs.disable()
 
 
-def make_pool(
-    processes: int, start_method: Optional[str] = None
-) -> ProcessPoolExecutor:
-    """A worker pool with the repo's standard setup (observability
-    disabled in workers).
+#: fork (where available) keeps workers cheap; spawn works too because
+#: jobs and payloads are plain picklable dataclasses. Every caller builds
+#: its pool from a single-threaded main, so forking copies no held lock.
+_START_METHOD = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 
-    ``start_method=None`` keeps the historical fork-preferred default —
-    right for pools built from a single-threaded main (stream shards,
-    prewarm). Multi-threaded callers (the scheduler) must pass
-    ``"forkserver"`` or ``"spawn"``: forking a threaded process copies
-    lock state mid-flight and the child can deadlock on first acquire.
-    An unavailable requested method falls back to ``spawn``, which every
-    platform supports.
-    """
-    methods = multiprocessing.get_all_start_methods()
-    if start_method is None:
-        # fork (where available) keeps workers cheap; spawn works too
-        # because jobs and payloads are plain picklable dataclasses.
-        chosen = "fork" if "fork" in methods else "spawn"
-    else:
-        chosen = start_method if start_method in methods else "spawn"
-    context = multiprocessing.get_context(chosen)
+
+def make_pool(processes: int) -> ProcessPoolExecutor:
+    """A worker pool with the repo's standard setup (observability
+    disabled in workers)."""
+    context = multiprocessing.get_context(_START_METHOD)
     return ProcessPoolExecutor(
         max_workers=processes, mp_context=context, initializer=_worker_init
     )

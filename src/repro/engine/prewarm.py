@@ -1,15 +1,9 @@
 """Batch prewarm: fan a job list across the pool, merge into caches.
 
-Moved from ``repro.eval.parallel`` (which remains the thin experiment
-client re-exporting it): the logic is unchanged — same counters, same
-events, same per-key lock protocol — but now dispatches through the
-:mod:`repro.engine.jobs` registry, so any registered job type prewarms
-the same way the experiment types do.
-
-Determinism contract (inherited from the original module): every job
-carries its seeds explicitly, so a worker process reproduces exactly
-the computation the serial path would have run; figure results after a
-parallel prewarm are bit-identical to serial execution.
+Determinism contract: every job carries its seeds explicitly, so a
+worker process reproduces exactly the computation the serial path would
+have run; figure results after a parallel prewarm are bit-identical to
+serial execution.
 """
 
 from __future__ import annotations

@@ -395,99 +395,6 @@ def run_stream_command(args) -> int:
     return 0
 
 
-def run_serve_command(args) -> int:
-    """The ``serve`` subcommand: the asyncio job-queue service."""
-    import asyncio
-    import signal
-
-    from ..engine import Scheduler
-    from ..lint import sanitize as lint_sanitize
-    from ..service import JobServer
-
-    port = args.port
-    if port is None and args.unix is None:
-        port = 0  # TCP on an ephemeral port; the real one is printed
-    lock_checker = None
-    if args.lock_order_check:
-        # Before the scheduler exists, so every FileLock acquisition of
-        # this process lands in the observed acquisition graph.
-        lock_checker = lint_sanitize.enable_lock_order_check()
-    stall_monitor = None
-    if args.stall_threshold_ms is not None:
-        stall_monitor = lint_sanitize.LoopStallMonitor(
-            threshold=args.stall_threshold_ms / 1000.0
-        )
-    memo = None
-    if not args.no_cache:
-        memo = store.configure(args.cache_dir)
-    scheduler = Scheduler(
-        workers=args.jobs, queue_limit=args.queue_limit, backend=args.pool
-    )
-    server = JobServer(
-        scheduler,
-        host=args.host,
-        port=port,
-        unix_path=args.unix,
-        client_quota=args.client_quota,
-    )
-
-    async def _serve() -> None:
-        await server.start()
-        for endpoint in server.endpoints():
-            print(f"listening on {endpoint}", flush=True)
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, server.request_stop)
-            except NotImplementedError:  # pragma: no cover - non-unix loops
-                pass
-        if stall_monitor is not None:
-            stall_monitor.start(loop)
-        try:
-            await server.run()
-        finally:
-            if stall_monitor is not None:
-                stall_monitor.stop()
-
-    sanitizer_failed = False
-    try:
-        asyncio.run(_serve())
-    finally:
-        scheduler.close(cancel_pending=True)
-        if memo is not None:
-            print(
-                f"cache: {memo.hits} hits, {memo.misses} misses ({memo.root})",
-                flush=True,
-            )
-            store.deactivate()
-        if lock_checker is not None:
-            report = lock_checker.report()
-            print(
-                f"lock-order: {report['acquisitions']} acquisitions, "
-                f"{report['edges']} edges, "
-                f"{len(report['violations'])} violations",
-                flush=True,
-            )
-            for violation in report["violations"]:
-                print(f"lock-order violation: {violation}", flush=True)
-                sanitizer_failed = True
-            lint_sanitize.disable_lock_order_check()
-        if stall_monitor is not None:
-            report = stall_monitor.report()
-            print(
-                f"loop-stalls: {len(report['stalls'])} stalls over "
-                f"{report['ticks']} ticks (max lag "
-                f"{report['max_lag_seconds'] * 1000.0:.1f} ms, threshold "
-                f"{report['threshold_seconds'] * 1000.0:.1f} ms)",
-                flush=True,
-            )
-            for lag in report["stalls"]:
-                print(f"loop stall: {lag * 1000.0:.1f} ms", flush=True)
-                sanitizer_failed = True
-    print("server stopped", flush=True)
-    return 1 if sanitizer_failed else 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.eval",
@@ -602,63 +509,6 @@ def main(argv=None) -> int:
         "--sample-seed", type=int, default=None, metavar="SEED",
         help="clustering seed for --sample-intervals (default 0)")
 
-    serve = sub.add_parser(
-        "serve",
-        help="run the job-queue service (profile/synthesize/evaluate/sample "
-             "jobs over newline-delimited JSON)",
-        description="Serve the shared job engine over TCP and/or a unix "
-                    "socket. Clients submit jobs as one JSON object per "
-                    "line and read acks, optional progress events and one "
-                    "terminal result or error per submission; identical "
-                    "in-flight jobs are computed exactly once and results "
-                    "are memoized in the cross-run cache. See DESIGN.md "
-                    "('Service & engine') for the wire protocol.",
-    )
-    serve.add_argument(
-        "--host", default="127.0.0.1",
-        help="TCP bind address (default 127.0.0.1)")
-    serve.add_argument(
-        "--port", type=int, default=None, metavar="PORT",
-        help="TCP port; 0 picks an ephemeral port (the default unless "
-             "--unix is given, in which case TCP is off unless --port is "
-             "set). The bound endpoint is printed as 'listening on ...'")
-    serve.add_argument(
-        "--unix", metavar="PATH", default=None,
-        help="additionally (or instead) listen on a unix socket at PATH")
-    serve.add_argument(
-        "--jobs", type=int, default=None,
-        help="engine worker count (default: min(cpu count, 8))")
-    serve.add_argument(
-        "--queue-limit", type=int, default=64,
-        help="bounded engine queue size; submissions beyond it are "
-             "rejected with code 'queue-full' (default 64)")
-    serve.add_argument(
-        "--client-quota", type=int, default=16,
-        help="max unfinished submissions per connection; beyond it "
-             "submissions are rejected with 'quota-exceeded' (default 16)")
-    serve.add_argument(
-        "--pool", choices=("process", "thread"), default="process",
-        help="execute jobs in worker processes (default; crash-isolated) "
-             "or in-process threads (cheaper for tiny jobs and tests)")
-    serve.add_argument(
-        "--cache-dir", metavar="DIR", default=None,
-        help="cross-run result cache directory (default ~/.cache/repro "
-             "or $REPRO_CACHE_DIR)")
-    serve.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the cross-run result cache for this server")
-    serve.add_argument(
-        "--lock-order-check", action="store_true",
-        help="run the lock-order sanitizer: record every observed lock "
-             "acquisition, report ordering cycles at shutdown and exit "
-             "nonzero on any violation (observation-only; results are "
-             "byte-identical)")
-    serve.add_argument(
-        "--stall-threshold-ms", type=float, default=None, metavar="MS",
-        help="run the event-loop stall monitor: report any callback that "
-             "delays the loop heartbeat by more than MS milliseconds and "
-             "exit nonzero if stalls occurred (observation-only)")
-
     cache = sub.add_parser(
         "cache", help="inspect and maintain the cross-run result cache"
     )
@@ -694,8 +544,6 @@ def main(argv=None) -> int:
         return run_cache_command(args)
     if args.command == "stream":
         return run_stream_command(args)
-    if args.command == "serve":
-        return run_serve_command(args)
 
     if args.backend is not None:
         # set_backend records the choice in MOCKTAILS_BACKEND, so

@@ -1,19 +1,10 @@
-"""Experiment-side client of the shared job engine (:mod:`repro.engine`).
+"""Experiment-side client of the job engine (:mod:`repro.engine`).
 
-The job model that used to live here — the ``DramJob``/``SpecJob``/
-``SizeJob``/``SampleJob`` dataclasses, ``execute_job``, the pool
-construction and the ``prewarm`` fan-out with its per-key lock protocol
-— moved to :mod:`repro.engine` so the asyncio service
-(:mod:`repro.service`) and the experiment runners share one scheduler
-substrate. This module keeps the experiment-specific half: mapping an
-experiment name to its unit-job list (:func:`jobs_for`) and the
-prewarm-then-aggregate convenience (:func:`run_experiment`).
-
-Everything previously importable from here still is — the job types,
-``execute_job``, ``prewarm``, ``make_pool``, ``default_processes`` are
-re-exported — and results are bit-identical to the pre-refactor module:
-the execution, installation and locking code is the same code, called
-through the engine's job-type registry.
+This module maps an experiment name to its unit-job list
+(:func:`jobs_for`) and offers the prewarm-then-aggregate convenience
+(:func:`run_experiment`). The job types, ``execute_job``, ``prewarm``,
+``make_pool`` and ``default_processes`` are re-exported from
+:mod:`repro.engine`.
 
 Usage::
 
@@ -63,11 +54,6 @@ __all__ = [
     "prewarm",
     "run_experiment",
 ]
-
-# Kept for the streaming profiler's shard fan-out, which historically
-# imported the pool factory under this name.
-_make_pool = make_pool
-
 
 # ---------------------------------------------------------------------------
 # Experiment -> job-list mapping

@@ -6,8 +6,8 @@ byte-identical results under any concurrency schedule) rest on
 conventions no test exercises directly: randomness flows only through
 seeded ``random.Random`` objects, simulation code never reads the wall
 clock, every artifact write is atomic, nothing iterates a set into
-serialized output, nothing blocks the service event loop, shared state
-is written under its owning lock. This package turns those conventions
+serialized output, nothing blocks an event loop, shared state is
+written under its owning lock. This package turns those conventions
 into machine-checked rules:
 
 * :func:`lint_paths` / :func:`lint_project` / :func:`lint_source` — the
@@ -21,9 +21,9 @@ into machine-checked rules:
   decorator) and unused-suppression detection;
 * :mod:`repro.lint.sanitize` — runtime checkers behind flags: the
   :class:`~repro.lint.sanitize.TraceInvariantChecker` the sim drivers
-  consult, the lock-order checker and event-loop stall monitor the
-  service exposes (``serve --lock-order-check --stall-threshold-ms``),
-  and the ``--check-determinism`` double-run harness.
+  consult, the lock-order checker (with the store's ``FileLock``
+  hooked into its acquisition graph), and the ``--check-determinism``
+  double-run harness.
 """
 
 from .engine import (

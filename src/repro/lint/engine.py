@@ -4,7 +4,7 @@ The linter enforces the repo's reproducibility invariants (seeded RNG
 only, no ambient wall clock in simulation paths, atomic artifact writes,
 ordered iteration before serialization, ``__slots__`` on hot-path
 classes) plus the whole-program concurrency contracts of the engine and
-service layer. The drive is two-phase:
+store layers. The drive is two-phase:
 
 1. **Per-file** — each file is parsed once; the per-file rules run over
    the tree and a :class:`~repro.lint.graph.ModuleSummary` is extracted

@@ -27,10 +27,6 @@ HOT_PATH_MODULES: Tuple[Tuple[str, ...], ...] = (
     ("obs", "registry.py"),
     ("sample", "fingerprint.py"),
     ("sample", "cluster.py"),
-    ("engine", "scheduler.py"),
-    ("service", "protocol.py"),
-    ("service", "server.py"),
-    ("service", "client.py"),
 )
 
 _ENUM_BASES = {"Enum", "IntEnum", "StrEnum", "Flag", "IntFlag"}

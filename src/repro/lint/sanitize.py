@@ -1,6 +1,6 @@
 """Runtime sanitizers: invariant checks the AST linter cannot prove.
 
-Four tools live here:
+Three tools live here:
 
 * :class:`TraceInvariantChecker` — validates every request flowing into
   a simulation driver (monotonic timestamps, non-negative aligned
@@ -13,14 +13,9 @@ Four tools live here:
   records the lock-acquisition graph actually observed (per-thread held
   stacks feeding held→acquired edges) and flags a cycle the moment the
   closing edge is inserted — *before* the schedule that would deadlock
-  on it ever runs. Enabled via :func:`enable_lock_order_check` (or
-  ``serve --lock-order-check``); when off, :func:`make_lock` hands out
-  plain ``threading.Lock`` objects, so the disabled path costs nothing.
-* :class:`LoopStallMonitor` — the runtime half of
-  ``conc-blocking-in-async``: a heartbeat callback on the service event
-  loop measures scheduling lag; any callback (or accidental blocking
-  call) that hogs the loop longer than the threshold delays the
-  heartbeat and is recorded as a stall.
+  on it ever runs. Enabled via :func:`enable_lock_order_check`; when
+  off, :func:`make_lock` hands out plain ``threading.Lock`` objects, so
+  the disabled path costs nothing.
 * :func:`check_determinism` — the double-run harness behind
   ``python -m repro.lint --check-determinism``: runs one experiment
   twice in-process and diffs the canonical JSON of the results. Any
@@ -28,8 +23,8 @@ Four tools live here:
   shows up as a byte diff.
 
 Sanitizing never changes results: every checker only *observes* (the
-request stream, the acquisition order, the loop's timing), so a clean
-run produces bit-identical statistics with checking on or off.
+request stream, the acquisition order), so a clean run produces
+bit-identical statistics with checking on or off.
 """
 
 from __future__ import annotations
@@ -176,6 +171,11 @@ class LockOrderChecker:
     This catches latent deadlocks from any interleaving that exercises
     both orders, without needing the deadlocking schedule itself.
 
+    A non-blocking try-acquisition cannot wait, so it cannot deadlock:
+    it joins the held stack (later blocking acquisitions nest under it)
+    but is itself checked for neither re-entrance nor ordering. This is
+    what lets the prewarm claim every free per-key ``FileLock`` at once.
+
     Observation-only: violations are recorded (and mirrored to
     ``repro.obs`` when a registry is active), never raised, so a
     sanitized run completes and reports at shutdown.
@@ -216,28 +216,33 @@ class LockOrderChecker:
             registry.counter("sanitize.lock_order.violations").inc()
             registry.event("sanitize.lock_order.violation", detail=message)
 
-    def acquired(self, name: str) -> None:
+    def _check_order(self, name: str, stack: List[str]) -> None:
+        """Flag re-entrance or a cycle-closing edge (caller holds ``_lock``)."""
+        if name in stack:
+            self._record(
+                f"re-entrant acquisition of {name} "
+                f"(already held by this thread; held stack: {stack})"
+            )
+            return
+        for held in stack:
+            targets = self._edges.setdefault(held, set())
+            if name in targets:
+                continue
+            if self._reaches(name, held):
+                self._record(
+                    f"lock order cycle: acquiring {name} while "
+                    f"holding {held}, but an earlier schedule "
+                    f"acquired {held} while holding {name}"
+                )
+            targets.add(name)
+
+    def acquired(self, name: str, blocking: bool = True) -> None:
         """Record that the calling thread now holds ``name``."""
         stack = self._stack()
         with self._lock:
             self.acquisitions += 1
-            if name in stack:
-                self._record(
-                    f"re-entrant acquisition of {name} "
-                    f"(already held by this thread; held stack: {stack})"
-                )
-            else:
-                for held in stack:
-                    targets = self._edges.setdefault(held, set())
-                    if name in targets:
-                        continue
-                    if self._reaches(name, held):
-                        self._record(
-                            f"lock order cycle: acquiring {name} while "
-                            f"holding {held}, but an earlier schedule "
-                            f"acquired {held} while holding {name}"
-                        )
-                    targets.add(name)
+            if blocking:
+                self._check_order(name, stack)
             registry = obs.active()
             if registry is not None:
                 registry.counter("sanitize.lock_order.acquisitions").inc()
@@ -283,7 +288,7 @@ class TrackedLock:
     def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
         ok = self._inner.acquire(blocking, timeout)
         if ok:
-            self._checker.acquired(self.name)
+            self._checker.acquired(self.name, blocking)
         return ok
 
     def release(self) -> None:
@@ -335,71 +340,6 @@ def make_lock(name: str) -> Any:
     if checker is None:
         return threading.Lock()
     return TrackedLock(name, checker)
-
-
-# -- event-loop stall monitor ------------------------------------------------
-
-
-class LoopStallMonitor:
-    """Detect event-loop stalls via heartbeat scheduling lag.
-
-    A ``call_later`` heartbeat reschedules itself every ``interval``
-    seconds; the loop can only run it late if some callback (or an
-    accidental blocking call — exactly what ``conc-blocking-in-async``
-    proves statically) hogged the loop in between. Lag beyond
-    ``threshold`` seconds is recorded as a stall. Runs entirely on the
-    loop, so it needs no locking, and it observes only timing — the
-    served byte stream is untouched.
-    """
-
-    __slots__ = ("threshold", "interval", "ticks", "stalls", "max_lag",
-                 "_loop", "_handle")
-
-    def __init__(self, threshold: float = 0.25, interval: float = 0.05) -> None:
-        if threshold <= 0:
-            raise ValueError(f"threshold must be positive, got {threshold}")
-        self.threshold = threshold
-        self.interval = interval
-        self.ticks = 0
-        self.stalls: List[float] = []
-        self.max_lag = 0.0
-        self._loop: Any = None
-        self._handle: Any = None
-
-    def start(self, loop: Any) -> None:
-        """Begin heartbeating on ``loop`` (call from the loop thread)."""
-        self._loop = loop
-        self._schedule()
-
-    def _schedule(self) -> None:
-        expected = self._loop.time() + self.interval
-        self._handle = self._loop.call_later(self.interval, self._tick, expected)
-
-    def _tick(self, expected: float) -> None:
-        lag = self._loop.time() - expected
-        self.ticks += 1
-        if lag > self.max_lag:
-            self.max_lag = lag
-        if lag > self.threshold:
-            self.stalls.append(round(lag, 6))
-            registry = obs.active()
-            if registry is not None:
-                registry.counter("sanitize.loop.stalls").inc()
-                registry.event("sanitize.loop.stall", lag_seconds=round(lag, 6))
-        self._schedule()
-
-    def stop(self) -> None:
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
-
-    def report(self) -> dict:
-        return {
-            "ticks": self.ticks,
-            "threshold_seconds": self.threshold,
-            "max_lag_seconds": round(self.max_lag, 6),
-            "stalls": list(self.stalls),
-        }
 
 
 # -- determinism double-run harness -----------------------------------------

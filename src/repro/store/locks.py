@@ -18,11 +18,12 @@ Lock-ordering contract (checked statically by ``conc-lock-order`` and at
 runtime by the sanitizer in :mod:`repro.lint.sanitize`): the per-key
 :class:`FileLock` is the *outermost* level of the repo's lock hierarchy.
 It may be held across compute-and-store (that is its job), and the
-engine's in-process leaf locks may be taken underneath it — but no code
-may acquire a :class:`FileLock` while holding any in-process lock, and
-the analyzer models every ``FileLock`` as one hierarchy node
-(``repro.store.locks.FileLock``) so an inversion against the scheduler's
-locks is reported regardless of which cache key is involved.
+in-process leaf locks (the memo tally lock, the ``repro.obs`` registry
+locks) may be taken underneath it — but no code may acquire a
+:class:`FileLock` while holding any in-process lock, and the analyzer
+models every ``FileLock`` as one hierarchy node
+(``repro.store.locks.FileLock``) so an inversion against an in-process
+lock is reported regardless of which cache key is involved.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ def set_lock_observer(observer: Optional[Any]) -> None:
 
     The observer — in practice the lock-order sanitizer
     (:class:`repro.lint.sanitize.LockOrderChecker`) — receives
-    ``acquired(name)`` / ``released(name)`` callbacks with the static
-    hierarchy node name. Observation-only: it must not block or raise.
+    ``acquired(name, blocking)`` / ``released(name)`` callbacks with the
+    static hierarchy node name. Observation-only: it must not block or raise.
     The default (``None``) path costs one global read per acquire.
     """
     global _observer
@@ -144,7 +145,7 @@ class FileLock:
             if self._try_create():
                 observer = _observer
                 if observer is not None:
-                    observer.acquired(_OBSERVER_NODE)
+                    observer.acquired(_OBSERVER_NODE, block)
                 return True
             if self._is_stale():
                 self._break_stale()

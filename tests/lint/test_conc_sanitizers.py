@@ -1,16 +1,13 @@
-"""Runtime concurrency sanitizers: lock-order checker and stall monitor."""
+"""Runtime concurrency sanitizer: the lock-order checker."""
 
 from __future__ import annotations
 
-import asyncio
 import threading
-import time
 
 import pytest
 
 from repro.lint.sanitize import (
     LockOrderChecker,
-    LoopStallMonitor,
     TrackedLock,
     disable_lock_order_check,
     enable_lock_order_check,
@@ -70,6 +67,21 @@ def test_reentrant_acquisition_is_flagged():
     checker.acquired("A")
     assert len(checker.violations) == 1
     assert "re-entrant" in checker.violations[0]
+
+
+def test_try_acquisitions_cannot_deadlock():
+    checker = LockOrderChecker()
+    checker.acquired("A", blocking=False)
+    checker.acquired("A", blocking=False)  # two keys, one hierarchy node
+    checker.acquired("B")  # blocking under a try-lock still nests
+    assert checker.violations == []
+    assert checker.edge_count() == 1
+    checker.released("B")
+    checker.released("A")
+    checker.released("A")
+    checker.acquired("B")
+    checker.acquired("A")  # closes B -> A against the earlier A -> B
+    assert len(checker.violations) == 1
 
 
 def test_held_stacks_are_per_thread():
@@ -142,34 +154,31 @@ def test_filelock_observer_detaches_on_disable(tmp_path):
     assert checker.acquisitions == 0
 
 
-def test_stall_monitor_flags_a_blocking_callback():
-    monitor = LoopStallMonitor(threshold=0.05, interval=0.01)
+def test_prewarm_fig6_is_lock_order_clean(tmp_path):
+    """The live target of the lock-order sanitizer: a parallel prewarm
+    over a store takes one ``FileLock`` per job (plus the memo and obs
+    leaf locks) and must close no acquisition cycle — without changing
+    the figure it warms."""
+    from repro import store
+    from repro.eval import comparison, experiments
+    from repro.eval.parallel import jobs_for, prewarm
 
-    async def scenario():
-        loop = asyncio.get_running_loop()
-        monitor.start(loop)
-        await asyncio.sleep(0.05)
-        time.sleep(0.2)  # the planted stall: blocks the loop directly
-        await asyncio.sleep(0.05)
-        monitor.stop()
+    requests = 600
+    comparison.clear_cache()
+    unsanitized = experiments.figure_6(requests)
 
-    asyncio.run(scenario())
-    report = monitor.report()
-    assert report["stalls"], f"no stall recorded: {report}"
-    assert report["max_lag_seconds"] >= 0.1
-    assert report["ticks"] > 0
+    comparison.clear_cache()
+    checker = enable_lock_order_check()
+    store.configure(tmp_path / "cache")
+    try:
+        executed = prewarm(jobs_for("fig6", requests), processes=2)
+        sanitized = experiments.figure_6(requests)
+    finally:
+        store.deactivate()
+        disable_lock_order_check()
+        comparison.clear_cache()
 
-
-def test_stall_monitor_clean_loop_records_nothing():
-    monitor = LoopStallMonitor(threshold=0.25, interval=0.01)
-
-    async def scenario():
-        monitor.start(asyncio.get_running_loop())
-        for _ in range(5):
-            await asyncio.sleep(0.01)
-        monitor.stop()
-
-    asyncio.run(scenario())
-    report = monitor.report()
-    assert report["stalls"] == []
-    assert report["ticks"] > 0
+    assert executed > 0
+    assert checker.violations == []
+    assert checker.acquisitions >= 1
+    assert sanitized == unsanitized

@@ -21,12 +21,12 @@ def test_repo_source_is_lint_clean():
     assert findings == [], f"repo source has lint findings:\n{rendered}"
 
 
-def test_engine_and_service_are_concurrency_clean():
+def test_engine_and_store_are_concurrency_clean():
     """Zero ``conc-*`` findings — and zero suppressions — repo-wide.
 
     The acceptance bar for the concurrency analyzer: every violation it
-    found in the engine, service, and store layers was *fixed*, not
-    suppressed, so the whole tree (scripts included) holds at zero.
+    found in the engine and store layers was *fixed*, not suppressed,
+    so the whole tree (scripts included) holds at zero.
     """
     scripts = Path(__file__).resolve().parents[2] / "scripts"
     findings = lint_paths([SRC, scripts], select=["conc"])

@@ -48,51 +48,6 @@ class TestHandles:
         assert MetricsRegistry().histogram("h").mean == 0.0
 
 
-class TestQueueGauges:
-    def test_lifecycle_tracks_depth_and_inflight(self):
-        obs.enable()
-        gauges = obs.queue_gauges("engine")
-        gauges.enqueued()
-        gauges.enqueued()
-        assert obs.active().snapshot()["gauges"]["engine.queue_depth"] == 2
-        gauges.started()  # one item moves queue -> worker
-        snapshot = obs.active().snapshot()["gauges"]
-        assert snapshot["engine.queue_depth"] == 1
-        assert snapshot["engine.inflight"] == 1
-        gauges.finished()  # ...and completes
-        gauges.dequeued()  # the other is cancelled while still queued
-        snapshot = obs.active().snapshot()["gauges"]
-        assert snapshot["engine.queue_depth"] == 0
-        assert snapshot["engine.inflight"] == 0
-
-    def test_none_when_observability_off(self):
-        assert obs.queue_gauges("engine") is None
-
-
-class TestJobTimer:
-    def test_records_histogram_and_phase(self):
-        obs.enable()
-        with obs.job_timer("engine.job.EchoJob"):
-            pass
-        snapshot = obs.active().snapshot()
-        histogram = snapshot["histograms"]["engine.job.EchoJob.seconds"]
-        assert histogram["count"] == 1
-        assert "engine.job.EchoJob" in snapshot["phases_seconds"]
-
-    def test_elapsed_accumulates_into_phase_total(self):
-        obs.enable()
-        registry = obs.active()
-        with obs.job_timer("engine.job.X"):
-            pass
-        with obs.job_timer("engine.job.X"):
-            pass
-        assert registry.phases["engine.job.X"] >= 0.0
-        assert obs.active().snapshot()["histograms"]["engine.job.X.seconds"]["count"] == 2
-
-    def test_none_when_observability_off(self):
-        assert obs.job_timer("engine.job.X") is None
-
-
 class TestPhases:
     def test_phase_scope_accumulates(self):
         registry = MetricsRegistry()

@@ -100,9 +100,8 @@ def test_fetch_miss_then_hit(memo):
 def test_hit_miss_tally_survives_concurrent_fetches(memo):
     """Regression for conc-unguarded-shared-state on ``hits``/``misses``.
 
-    ``fetch`` is called from every scheduler worker; the session tally
-    now increments under ``_tally_lock``, so hammering one hot entry
-    from many threads loses no updates.
+    The session tally increments under ``_tally_lock``, so hammering
+    one hot entry from many threads loses no updates.
     """
     import threading
 
