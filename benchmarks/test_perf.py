@@ -270,7 +270,7 @@ def test_perf_snapshot(bench_jobs, capsys):
         lambda: build_profile_streaming(columns.iter_blocks(8192), two_level_ts())
     )
     _, peak_profile_memory_bytes_inmemory = obs.measure_peak_memory(
-        lambda: build_profile(trace, two_level_ts(), stream=False)
+        lambda: build_profile(trace, two_level_ts())
     )
 
     # -- figure runners: serial (cold caches, metrics registry active) -----
@@ -354,10 +354,9 @@ def test_perf_snapshot(bench_jobs, capsys):
             else None
         )
 
-        # -- whole-program lint: cold parse vs warm incremental cache ------
-        # The two-phase engine re-parses nothing on a warm run: every
-        # per-file analysis must come back from the content-hash cache
-        # (only the project-phase conc rules recompute).
+        # -- lint: cold parse vs warm incremental cache ---------------------
+        # A warm run re-parses nothing: every per-file analysis must come
+        # back from the content-hash cache.
         from repro.lint.cache import LintCache
         from repro.lint.engine import lint_project
 
@@ -446,9 +445,9 @@ def test_perf_snapshot(bench_jobs, capsys):
             "sampled_geomean_error_percent": sampled_geomean_error_percent,
             "sampled_error_bound_percent": sampled_error_bound_percent,
             "sampled_within_bound": sampled_within_bound,
-            # Whole-program lint (repro.lint, schema 8): full src/repro
-            # wall time cold vs warm through the incremental per-file
-            # cache; a warm run re-parses nothing.
+            # Lint (repro.lint, schema 8): full src/repro wall time cold
+            # vs warm through the incremental per-file cache; a warm run
+            # re-parses nothing.
             "lint_files": lint_files,
             "lint_full_wall_seconds": round(timings["lint_full"], 4),
             "lint_warm_wall_seconds": round(timings["lint_warm"], 4),

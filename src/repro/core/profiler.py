@@ -54,7 +54,6 @@ def build_profile(
     leaf_factory: LeafModelFactory = LeafModel.fit,
     name: str = "",
     backend: Optional[str] = None,
-    stream: Optional[bool] = None,
 ):
     """Build a statistical profile from a trace.
 
@@ -72,62 +71,20 @@ def build_profile(
             defers to the process-wide selection
             (:func:`repro.core.columnar.active_backend`). Both backends
             build bit-identical profiles.
-        stream: ``True`` routes the build through the out-of-core
-            map-reduce profiler (:mod:`repro.stream`) in fixed-size
-            blocks; ``None`` defers to the ``MOCKTAILS_STREAM``
-            environment switch (see
-            :func:`repro.stream.set_stream_mode`); ``False`` forces the
-            single-pass build. All paths are bit-identical.
 
     Returns:
-        A :class:`repro.core.profile.Profile`.
+        A :class:`repro.core.profile.Profile`. The out-of-core builder
+        (:func:`repro.stream.build_profile_streaming`) produces the same
+        profile from a block iterator.
     """
-    from .columnar import ColumnarTrace
+    from .columnar import ColumnarTrace, numpy_or_none, resolve_backend
+    from .profile import Profile
 
     if config is None:
         config = two_level_ts()
 
     # Bound-method equality, not identity: each LeafModel.fit attribute
     # access creates a fresh bound method object.
-    if stream is not False and leaf_factory == LeafModel.fit:
-        from ..stream import (
-            build_profile_streaming,
-            stream_block_requests,
-            stream_requested,
-        )
-
-        if stream is True or (stream is None and stream_requested()):
-            columns = (
-                trace if isinstance(trace, ColumnarTrace) else ColumnarTrace.from_trace(trace)
-            )
-            return build_profile_streaming(
-                columns.iter_blocks(stream_block_requests()),
-                config,
-                name=name,
-                backend=backend,
-            )
-    elif stream is True:
-        raise ValueError("stream=True requires the default all-McC leaf factory")
-
-    return _build_profile_inmemory(trace, config, leaf_factory, name, backend)
-
-
-def _build_profile_inmemory(
-    trace: Union[Trace, "ColumnarTrace"],
-    config: HierarchyConfig,
-    leaf_factory: LeafModelFactory = LeafModel.fit,
-    name: str = "",
-    backend: Optional[str] = None,
-):
-    """The single-pass build — scalar or batched-columnar, never streaming.
-
-    :mod:`repro.stream` calls this directly (not :func:`build_profile`)
-    when it has to fall back to a materialized build, so the
-    ``MOCKTAILS_STREAM`` switch can never recurse.
-    """
-    from .columnar import ColumnarTrace, numpy_or_none, resolve_backend
-    from .profile import Profile
-
     if resolve_backend(backend) == "columnar" and leaf_factory == LeafModel.fit:
         np = numpy_or_none()
         if np is not None:

@@ -450,15 +450,6 @@ def main(argv=None) -> int:
                  "default) picks columnar when numpy is available; "
                  "results are bit-identical either way")
         command.add_argument(
-            "--stream", action="store_true",
-            help="build every profile through the out-of-core streaming "
-                 "path (repro.stream): O(block) peak memory, results "
-                 "bit-identical to the in-memory build")
-        command.add_argument(
-            "--block-requests", type=int, default=None, metavar="N",
-            help="streaming block size in requests (default 8,192; "
-                 "implies nothing without --stream)")
-        command.add_argument(
             "--sample-intervals", type=int, default=None, metavar="K",
             help="statistical sampling: cluster each trace's outer "
                  "temporal intervals and simulate only K weighted "
@@ -552,20 +543,6 @@ def main(argv=None) -> int:
 
         set_backend(args.backend)
 
-    stream_env = None
-    if args.stream or args.block_requests is not None:
-        # set_stream_mode records the choice in MOCKTAILS_STREAM /
-        # MOCKTAILS_STREAM_BLOCK_REQUESTS, so workers inherit it; the
-        # prior values are restored on the way out.
-        import os
-
-        from ..stream import _BLOCK_ENV, _STREAM_ENV, set_stream_mode
-
-        stream_env = {
-            key: os.environ.get(key) for key in (_STREAM_ENV, _BLOCK_ENV)
-        }
-        set_stream_mode(args.stream, args.block_requests)
-
     sample_env = None
     if args.sample_intervals is not None:
         # set_sampling records the choice in MOCKTAILS_SAMPLE_INTERVALS /
@@ -624,14 +601,6 @@ def main(argv=None) -> int:
             print(f"wrote {registry.sink.emitted if registry.sink else 0:,} "
                   f"events to {args.trace_events}")
     finally:
-        if stream_env is not None:
-            import os
-
-            for key, value in stream_env.items():
-                if value is None:
-                    os.environ.pop(key, None)
-                else:
-                    os.environ[key] = value
         if sample_env is not None:
             import os
 

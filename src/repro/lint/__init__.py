@@ -1,24 +1,19 @@
 """``repro.lint`` — determinism & invariant static analysis + sanitizers.
 
 The reproduction's guarantees (figure stats bit-identical under
-``--jobs N``, warm cache byte-identical to cold, crc32-stable seeding,
-byte-identical results under any concurrency schedule) rest on
-conventions no test exercises directly: randomness flows only through
-seeded ``random.Random`` objects, simulation code never reads the wall
-clock, every artifact write is atomic, nothing iterates a set into
-serialized output, nothing blocks an event loop, shared state is
-written under its owning lock. This package turns those conventions
-into machine-checked rules:
+``--jobs N``, warm cache byte-identical to cold, crc32-stable seeding)
+rest on conventions no test exercises directly: randomness flows only
+through seeded ``random.Random`` objects, simulation code never reads
+the wall clock, every artifact write is atomic, nothing iterates a set
+into serialized output. This package turns those conventions into
+machine-checked rules:
 
 * :func:`lint_paths` / :func:`lint_project` / :func:`lint_source` — the
-  two-phase whole-program linter (also ``python -m repro.lint src/``):
-  a per-file phase (cached incrementally by content hash, see
-  :mod:`repro.lint.cache`) and a project phase that builds the
-  module-resolved call graph (:mod:`repro.lint.graph`) and runs the
-  interprocedural ``conc-*`` concurrency rules. Per-line
-  ``# lint: ignore[rule-id]`` suppressions (anchored to statement
-  spans, so a decorated ``def``'s findings can be suppressed at the
-  decorator) and unused-suppression detection;
+  per-file linter (also ``python -m repro.lint src/``), cached
+  incrementally by content hash (see :mod:`repro.lint.cache`).
+  Per-line ``# lint: ignore[rule-id]`` suppressions (anchored to
+  statement spans, so a decorated ``def``'s findings can be suppressed
+  at the decorator) and unused-suppression detection;
 * :mod:`repro.lint.sanitize` — runtime checkers behind flags: the
   :class:`~repro.lint.sanitize.TraceInvariantChecker` the sim drivers
   consult, the lock-order checker (with the store's ``FileLock``
@@ -32,8 +27,6 @@ from .engine import (
     Finding,
     LintContext,
     LintReport,
-    ProjectLintContext,
-    ProjectRule,
     Rule,
     all_rules,
     lint_paths,
@@ -48,8 +41,6 @@ __all__ = [
     "Finding",
     "LintContext",
     "LintReport",
-    "ProjectLintContext",
-    "ProjectRule",
     "Rule",
     "all_rules",
     "lint_paths",

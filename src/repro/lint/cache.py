@@ -2,8 +2,8 @@
 
 Warm ``python -m repro.lint`` runs re-parse only the files whose bytes
 changed. Each entry stores one :class:`~repro.lint.engine.FileAnalysis`
-(per-file findings pre-suppression, the module summary for the project
-phase, the suppression table and statement spans) keyed on
+(findings pre-suppression, the suppression table and statement spans)
+keyed on
 
 * the sha256 of the file's contents,
 * the rule-set fingerprint (every registered rule id), and
@@ -12,8 +12,8 @@ phase, the suppression table and statement spans) keyed on
 so editing a file, adding a rule, or upgrading the engine each
 invalidate exactly what they must and nothing else. The per-file
 analysis is *cache-pure* by construction — it depends only on the
-file's own bytes (see :mod:`repro.lint.graph`) — which is what makes
-content-hash keying sound. Entries are written atomically through
+file's own bytes and path — which is what makes content-hash keying
+sound. Entries are written atomically through
 :mod:`repro.store.atomic` so a crashed run never leaves a torn entry;
 a corrupt or unreadable entry is treated as a miss and rewritten.
 """

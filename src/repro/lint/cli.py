@@ -4,9 +4,8 @@ Examples::
 
     python -m repro.lint src/
     python -m repro.lint src/repro/dram --format json
-    python -m repro.lint src/ --select conc            # rule family prefix
+    python -m repro.lint src/ --select det             # rule family prefix
     python -m repro.lint src/ --ignore perf-slots
-    python -m repro.lint src/ --format sarif > lint.sarif
     python -m repro.lint src/ --no-cache
     python -m repro.lint --check-determinism --experiment fig3 --requests 2000
 
@@ -83,7 +82,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("paths", nargs="*", help="files or directories to lint")
     parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
+        "--format", choices=("text", "json"), default="text",
         help="output format (default text)")
     parser.add_argument(
         "--no-cache", action="store_true",
@@ -143,14 +142,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     findings = report.findings
     if args.format == "json":
-        output = _format_json(findings)
-    elif args.format == "sarif":
-        from .sarif import render_sarif
-
-        output = render_sarif(findings)
+        print(_format_json(findings))
     else:
-        output = _format_text(findings)
-    print(output)
+        print(_format_text(findings))
     if cache is not None:
         # stderr so machine-readable stdout payloads stay pure.
         print(

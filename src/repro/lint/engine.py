@@ -3,19 +3,10 @@
 The linter enforces the repo's reproducibility invariants (seeded RNG
 only, no ambient wall clock in simulation paths, atomic artifact writes,
 ordered iteration before serialization, ``__slots__`` on hot-path
-classes) plus the whole-program concurrency contracts of the engine and
-store layers. The drive is two-phase:
-
-1. **Per-file** — each file is parsed once; the per-file rules run over
-   the tree and a :class:`~repro.lint.graph.ModuleSummary` is extracted
-   for the project phase. Everything produced here depends only on the
-   file's own bytes, so :class:`FileAnalysis` is what the incremental
-   cache persists — a warm run re-parses only changed files.
-2. **Project** — the summaries are joined into a
-   :class:`~repro.lint.graph.ProjectGraph` and the
-   :class:`ProjectRule` subclasses (the ``conc-*`` family) run over the
-   resolved call graph. Project findings are recomputed every run; only
-   the per-file extraction is cached.
+classes). Each file is parsed once and every rule runs over its tree;
+the result depends only on the file's own bytes, so
+:class:`FileAnalysis` is what the incremental cache persists — a warm
+run re-parses only changed files.
 
 Suppressions
 ------------
@@ -44,11 +35,9 @@ from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Type
 
-from .graph import ModuleSummary, ProjectGraph, build_project, extract_summary
-
 #: Bumped when analysis semantics change; part of the cache key, so a
-#: new engine never reuses summaries produced by an old one.
-ENGINE_VERSION = 2
+#: new engine never reuses analyses produced by an old one.
+ENGINE_VERSION = 3
 
 #: Rule id reported for stale suppression comments.
 UNUSED_SUPPRESSION = "lint-unused-suppression"
@@ -122,37 +111,6 @@ class Rule:
     description: str = ""
 
     def check(self, context: LintContext) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-@dataclass
-class ProjectLintContext:
-    """Everything a project rule needs: the resolved call graph."""
-
-    graph: ProjectGraph
-    findings: List[Finding] = field(default_factory=list)
-
-    def report(self, path: str, line: int, col: int,
-               rule_id: str, message: str) -> None:
-        self.findings.append(
-            Finding(path=path, line=line, col=col,
-                    rule_id=rule_id, message=message)
-        )
-
-
-class ProjectRule(Rule):
-    """A rule that runs once over the whole project graph.
-
-    Subclasses implement :meth:`check_project`; the per-file ``check``
-    is a no-op so a mixed registry can be driven uniformly.
-    """
-
-    def check(self, context: LintContext) -> None:
-        return None
-
-    def check_project(
-        self, context: ProjectLintContext
-    ) -> None:  # pragma: no cover - interface
         raise NotImplementedError
 
 
@@ -251,11 +209,10 @@ def _span_lookup(spans: Sequence[Tuple[int, int]]) -> Dict[int, Tuple[int, int]]
 
 @dataclass
 class FileAnalysis:
-    """The cacheable product of the per-file phase for one file."""
+    """The cacheable product of linting one file."""
 
     path: str
     findings: List[Finding] = field(default_factory=list)
-    summary: Optional[ModuleSummary] = None
     suppressions: Dict[int, Optional[Set[str]]] = field(default_factory=dict)
     spans: List[Tuple[int, int]] = field(default_factory=list)
     syntax_error: bool = False
@@ -264,7 +221,6 @@ class FileAnalysis:
         return {
             "path": self.path,
             "findings": [f.to_dict() for f in self.findings],
-            "summary": self.summary.to_dict() if self.summary else None,
             "suppressions": {
                 str(line): (None if ids is None else sorted(ids))
                 for line, ids in self.suppressions.items()
@@ -284,10 +240,6 @@ class FileAnalysis:
                 )
                 for f in data["findings"]
             ],
-            summary=(
-                ModuleSummary.from_dict(data["summary"])
-                if data["summary"] else None
-            ),
             suppressions={
                 int(line): (None if ids is None else set(ids))
                 for line, ids in data["suppressions"].items()
@@ -310,7 +262,7 @@ class LintReport:
 def _expand_selectors(
     selectors: Sequence[str], registry: Dict[str, Type[Rule]]
 ) -> List[str]:
-    """Expand family prefixes (``conc`` -> every ``conc-*`` rule)."""
+    """Expand family prefixes (``det`` -> every ``det-*`` rule)."""
     expanded: List[str] = []
     unknown: List[str] = []
     for selector in selectors:
@@ -344,9 +296,9 @@ def _select_rules(
 
 
 def _analyze_file(source: str, path: str) -> FileAnalysis:
-    """Run the per-file phase for one file (parse, rules, extraction).
+    """Parse one file and run every rule over it.
 
-    Every registered per-file rule runs regardless of ``--select`` so
+    Every registered rule runs regardless of ``--select`` so
     the analysis is selection-independent — the cache can serve any
     later selection from the same entry; filtering happens at report
     time.
@@ -371,28 +323,13 @@ def _analyze_file(source: str, path: str) -> FileAnalysis:
         path=path, tree=tree, source=source, module_parts=_module_parts(path)
     )
     for rule_class in all_rules().values():
-        if not issubclass(rule_class, ProjectRule):
-            rule_class().check(context)
+        rule_class().check(context)
     return FileAnalysis(
         path=path,
         findings=context.findings,
-        summary=extract_summary(tree, path),
         suppressions=_parse_suppressions(source),
         spans=_statement_spans(tree),
     )
-
-
-def _run_project_rules(
-    analyses: Sequence[FileAnalysis], rules: Sequence[Rule]
-) -> List[Finding]:
-    project_rules = [rule for rule in rules if isinstance(rule, ProjectRule)]
-    if not project_rules:
-        return []
-    summaries = [a.summary for a in analyses if a.summary is not None]
-    context = ProjectLintContext(graph=build_project(summaries))
-    for rule in project_rules:
-        rule.check_project(context)
-    return context.findings
 
 
 def _apply_suppressions(
@@ -451,10 +388,8 @@ def _check_unused(
 def _selected_file_findings(
     analysis: FileAnalysis, rules: Sequence[Rule]
 ) -> List[Finding]:
-    """The analysis' findings narrowed to the selected per-file rules."""
-    wanted = {
-        rule.rule_id for rule in rules if not isinstance(rule, ProjectRule)
-    }
+    """The analysis' findings narrowed to the selected rules."""
+    wanted = {rule.rule_id for rule in rules}
     wanted.add(SYNTAX_ERROR)
     return [f for f in analysis.findings if f.rule_id in wanted]
 
@@ -465,17 +400,10 @@ def lint_source(
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
 ) -> List[Finding]:
-    """Lint one file's contents; returns sorted findings.
-
-    Project rules run too, over the one-file project — cross-file
-    resolution is unavailable but same-file concurrency hazards (and
-    the rule fixtures) are checked exactly as in a full run.
-    """
+    """Lint one file's contents; returns sorted findings."""
     rules = _select_rules(select, ignore)
     analysis = _analyze_file(source, path)
     findings = _selected_file_findings(analysis, rules)
-    if not analysis.syntax_error:
-        findings.extend(_run_project_rules([analysis], rules))
     return sorted(
         _apply_suppressions(analysis, findings, _check_unused(select, ignore))
     )
@@ -501,14 +429,14 @@ def lint_project(
     ignore: Optional[Sequence[str]] = None,
     cache: Optional["LintCache"] = None,
 ) -> LintReport:
-    """Two-phase lint of every ``.py`` file under ``paths``.
+    """Lint every ``.py`` file under ``paths``.
 
     With a :class:`~repro.lint.cache.LintCache`, per-file analyses are
     looked up by (content sha, rule fingerprint) and only missing files
     are parsed; the report carries the hit/miss tally.
     """
     rules = _select_rules(select, ignore)
-    analyses: List[FileAnalysis] = []
+    check_unused = _check_unused(select, ignore)
     report = LintReport()
     for file_path in iter_python_files(paths):
         source = file_path.read_text(encoding="utf-8")
@@ -523,18 +451,8 @@ def lint_project(
                 cache.put(path, source, analysis)
         else:
             report.cache_hits += 1
-        analyses.append(analysis)
-    report.files = len(analyses)
-
-    project_findings = _run_project_rules(analyses, rules)
-    by_path: Dict[str, List[Finding]] = {}
-    for finding in project_findings:
-        by_path.setdefault(finding.path, []).append(finding)
-
-    check_unused = _check_unused(select, ignore)
-    for analysis in analyses:
+        report.files += 1
         findings = _selected_file_findings(analysis, rules)
-        findings.extend(by_path.get(analysis.path, []))
         report.findings.extend(
             _apply_suppressions(analysis, findings, check_unused)
         )

@@ -9,13 +9,13 @@ Three tools live here:
   ``--sanitize`` flag of ``python -m repro.eval``) turns checking on for
   every driver in the process; a driver-level ``sanitize=`` argument
   overrides per call.
-* :class:`LockOrderChecker` — the runtime half of ``conc-lock-order``:
-  records the lock-acquisition graph actually observed (per-thread held
-  stacks feeding held→acquired edges) and flags a cycle the moment the
-  closing edge is inserted — *before* the schedule that would deadlock
-  on it ever runs. Enabled via :func:`enable_lock_order_check`; when
-  off, :func:`make_lock` hands out plain ``threading.Lock`` objects, so
-  the disabled path costs nothing.
+* :class:`LockOrderChecker` — records the lock-acquisition graph
+  actually observed (per-thread held stacks feeding held→acquired
+  edges) and flags a cycle the moment the closing edge is inserted —
+  *before* the schedule that would deadlock on it ever runs. Enabled
+  via :func:`enable_lock_order_check`, which hooks the store's
+  ``FileLock`` into the graph; when off, ``FileLock`` has no observer
+  and the disabled path costs nothing.
 * :func:`check_determinism` — the double-run harness behind
   ``python -m repro.lint --check-determinism``: runs one experiment
   twice in-process and diffs the canonical JSON of the results. Any
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import threading
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .. import obs
 from ..core.request import MemoryRequest, Operation
@@ -269,77 +269,21 @@ class LockOrderChecker:
             }
 
 
-class TrackedLock:
-    """A named ``threading.Lock`` that reports to a lock-order checker.
-
-    Drop-in for the subset of the ``Lock`` API the repo uses (context
-    manager, ``acquire``/``release``/``locked``). Handed out by
-    :func:`make_lock` only while checking is enabled; the disabled path
-    gets a plain ``threading.Lock`` and pays nothing.
-    """
-
-    __slots__ = ("name", "_inner", "_checker")
-
-    def __init__(self, name: str, checker: LockOrderChecker) -> None:
-        self.name = name
-        self._inner = threading.Lock()
-        self._checker = checker
-
-    def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
-        ok = self._inner.acquire(blocking, timeout)
-        if ok:
-            self._checker.acquired(self.name, blocking)
-        return ok
-
-    def release(self) -> None:
-        self._checker.released(self.name)
-        self._inner.release()
-
-    def locked(self) -> bool:
-        return self._inner.locked()
-
-    def __enter__(self) -> "TrackedLock":
-        self.acquire()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.release()
-
-
-_LOCK_CHECKER: Optional[LockOrderChecker] = None
-
-
 def enable_lock_order_check() -> LockOrderChecker:
     """Install a process-wide lock-order checker (and return it).
 
-    Also hooks the store's :class:`~repro.store.locks.FileLock` so
-    cross-process compute locks join the in-process acquisition graph
-    as the single ``repro.store.locks.FileLock`` hierarchy level.
+    Hooks the store's :class:`~repro.store.locks.FileLock` so
+    cross-process compute locks join the acquisition graph as the
+    single ``repro.store.locks.FileLock`` hierarchy level.
     """
-    global _LOCK_CHECKER
-    _LOCK_CHECKER = LockOrderChecker()
-    _store_locks.set_lock_observer(_LOCK_CHECKER)
-    return _LOCK_CHECKER
+    checker = LockOrderChecker()
+    _store_locks.set_lock_observer(checker)
+    return checker
 
 
 def disable_lock_order_check() -> None:
     """Tear the lock-order checker back down."""
-    global _LOCK_CHECKER
-    _LOCK_CHECKER = None
     _store_locks.set_lock_observer(None)
-
-
-def lock_order_checker() -> Optional[LockOrderChecker]:
-    """The active checker, or ``None`` when lock-order checking is off."""
-    return _LOCK_CHECKER
-
-
-def make_lock(name: str) -> Any:
-    """A lock for ``name``: tracked when checking is on, plain when off."""
-    checker = _LOCK_CHECKER
-    if checker is None:
-        return threading.Lock()
-    return TrackedLock(name, checker)
 
 
 # -- determinism double-run harness -----------------------------------------

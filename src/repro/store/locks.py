@@ -14,15 +14,15 @@ wedges the cache. Correctness under a broken lock degrades gracefully —
 two computes of a deterministic job store byte-equal payloads, and blob
 writes are atomic, so the worst case is wasted work, never a torn read.
 
-Lock-ordering contract (checked statically by ``conc-lock-order`` and at
-runtime by the sanitizer in :mod:`repro.lint.sanitize`): the per-key
-:class:`FileLock` is the *outermost* level of the repo's lock hierarchy.
-It may be held across compute-and-store (that is its job), and the
-in-process leaf locks (the memo tally lock, the ``repro.obs`` registry
-locks) may be taken underneath it — but no code may acquire a
-:class:`FileLock` while holding any in-process lock, and the analyzer
-models every ``FileLock`` as one hierarchy node
-(``repro.store.locks.FileLock``) so an inversion against an in-process
+Lock-ordering contract (checked at runtime by the lock-order sanitizer
+in :mod:`repro.lint.sanitize`): the per-key :class:`FileLock` is the
+*outermost* level of the repo's lock hierarchy. It may be held across
+compute-and-store (that is its job), and the in-process leaf locks (the
+memo tally lock, the ``repro.obs`` registry locks) may be taken
+underneath it — but no code may acquire a :class:`FileLock` while
+holding any in-process lock, and a leaf lock nests nothing. Every
+``FileLock`` reports to the sanitizer as one hierarchy node
+(``repro.store.locks.FileLock``), so an inversion against an in-process
 lock is reported regardless of which cache key is involved.
 """
 
@@ -47,7 +47,7 @@ def set_lock_observer(observer: Optional[Any]) -> None:
     The observer — in practice the lock-order sanitizer
     (:class:`repro.lint.sanitize.LockOrderChecker`) — receives
     ``acquired(name, blocking)`` / ``released(name)`` callbacks with the
-    static hierarchy node name. Observation-only: it must not block or raise.
+    fixed hierarchy node name. Observation-only: it must not block or raise.
     The default (``None``) path costs one global read per acquire.
     """
     global _observer

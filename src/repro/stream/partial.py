@@ -52,7 +52,7 @@ from ..core.hierarchy import HierarchyConfig, SpatialLayer
 from ..core.leaf import LeafModel, McCAddressModel, McCOperationModel
 from ..core.markov import MarkovChain
 from ..core.mcc import CONSTANT, MARKOV, McCModel
-from ..core.profiler import _build_profile_inmemory, fit_interval_leaves
+from ..core.profiler import build_profile, fit_interval_leaves
 from ..core.request import AddressRange
 
 __all__ = ["McCPartial", "LeafPartial", "ProfilePartial"]
@@ -565,7 +565,7 @@ class ProfilePartial:
                 if len(self._blocks) == 1
                 else ColumnarTrace.concat(self._blocks)
             )
-            return _build_profile_inmemory(
+            return build_profile(
                 columns, self.config, name=self.name, backend=self.backend
             )
         closed: List[_Span] = []

@@ -61,7 +61,7 @@ def test_fingerprint_partitions_the_cache(tmp_path):
 def test_fingerprint_covers_rules_and_engine_version():
     fingerprint = rule_fingerprint()
     assert str(ENGINE_VERSION) in fingerprint
-    assert "conc-lock-order" in fingerprint
+    assert "io-atomic-write" in fingerprint
 
 
 def test_corrupt_entry_is_a_miss_and_self_heals(tmp_path):
@@ -96,13 +96,10 @@ def test_same_bytes_under_new_path_revalidate(tmp_path):
 def test_findings_identical_with_and_without_cache(tmp_path):
     tree = write_tree(tmp_path / "proj", {
         "repro/core/a.py": SOURCE,
-        "repro/core/lockmod.py": (
-            "import asyncio\n"
-            "import threading\n"
-            "_lock = threading.Lock()\n"
-            "async def run():\n"
-            "    with _lock:\n"
-            "        await asyncio.sleep(0.1)\n"
+        "repro/core/writer.py": (
+            "def save(path, text):\n"
+            "    with open(path, 'w') as handle:\n"
+            "        handle.write(text)\n"
         ),
     })
     cache = LintCache(tmp_path / "cache")
@@ -112,4 +109,4 @@ def test_findings_identical_with_and_without_cache(tmp_path):
     assert [f.to_dict() for f in cached_warm.findings] == \
         [f.to_dict() for f in uncached.findings]
     rules = {f.rule_id for f in cached_warm.findings}
-    assert "conc-await-under-lock" in rules
+    assert "io-atomic-write" in rules

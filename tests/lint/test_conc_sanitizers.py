@@ -8,11 +8,8 @@ import pytest
 
 from repro.lint.sanitize import (
     LockOrderChecker,
-    TrackedLock,
     disable_lock_order_check,
     enable_lock_order_check,
-    lock_order_checker,
-    make_lock,
 )
 from repro.store.locks import FileLock
 
@@ -105,43 +102,17 @@ def test_held_stacks_are_per_thread():
     assert checker.edge_count() == 0
 
 
-def test_tracked_lock_feeds_the_checker():
-    checker = LockOrderChecker()
-    outer = TrackedLock("outer", checker)
-    inner = TrackedLock("inner", checker)
-    with outer:
-        with inner:
-            pass
-    with inner:
-        with outer:
-            pass
-    assert len(checker.violations) == 1
-    report = checker.report()
-    assert report["acquisitions"] == 4
-    assert report["edges"] == 2
-
-
-def test_make_lock_is_plain_when_off_and_tracked_when_on(checker):
-    tracked = make_lock("engine.demo")
-    assert isinstance(tracked, TrackedLock)
-    assert lock_order_checker() is checker
-    disable_lock_order_check()
-    plain = make_lock("engine.demo")
-    assert isinstance(plain, type(threading.Lock()))
-    assert lock_order_checker() is None
-
-
 def test_filelock_joins_the_acquisition_graph(tmp_path, checker):
     lock = FileLock(tmp_path / "key.lock", timeout=5.0)
-    in_process = TrackedLock("engine.state", checker)
     # FileLock is the outermost level: taking it under an in-process
     # lock after the legal order was observed closes a cycle.
     with lock:
-        with in_process:
-            pass
-    with in_process:
-        lock.acquire()
-        lock.release()
+        checker.acquired("engine.state")
+        checker.released("engine.state")
+    checker.acquired("engine.state")
+    lock.acquire()
+    lock.release()
+    checker.released("engine.state")
     assert len(checker.violations) == 1
     assert "repro.store.locks.FileLock" in checker.violations[0]
 

@@ -98,7 +98,7 @@ def test_fetch_miss_then_hit(memo):
 
 
 def test_hit_miss_tally_survives_concurrent_fetches(memo):
-    """Regression for conc-unguarded-shared-state on ``hits``/``misses``.
+    """The ``hits``/``misses`` tally is shared state across threads.
 
     The session tally increments under ``_tally_lock``, so hammering
     one hot entry from many threads loses no updates.
