@@ -39,6 +39,7 @@ class CleanDirtyModel:
     def __init__(self, write_counts: dict, total_counts: dict):
         self.write_counts = {state: int(write_counts.get(state, 0)) for state in self.STATES}
         self.total_counts = {state: int(total_counts.get(state, 0)) for state in self.STATES}
+        self._write_probabilities = {state: self.write_probability(state) for state in self.STATES}
 
     @classmethod
     def fit(cls, blocks: Sequence[int], operations: Sequence[Operation]) -> "CleanDirtyModel":
@@ -58,10 +59,8 @@ class CleanDirtyModel:
             if operation is Operation.WRITE:
                 write_counts[state] += 1
                 dirty[block] = True
-            else:
-                dirty.setdefault(block, dirty.get(block, False))
-                if state == "new":
-                    dirty[block] = False
+            elif state == "new":
+                dirty[block] = False
         return cls(write_counts, total_counts)
 
     def write_probability(self, state: str) -> float:
@@ -74,7 +73,7 @@ class CleanDirtyModel:
         return self.write_counts[state] / total
 
     def sample(self, state: str, rng: random.Random) -> Operation:
-        if rng.random() < self.write_probability(state):
+        if rng.random() < self._write_probabilities[state]:
             return Operation.WRITE
         return Operation.READ
 

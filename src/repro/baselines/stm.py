@@ -34,7 +34,7 @@ class StrideTable:
     """Variable-order stride pattern table with longest-match fallback.
 
     Rows map a history tuple of recent strides (length 1..max_history) to
-    a counter of observed next strides. Generation consumes counts
+    a dict counting the observed next strides. Generation consumes counts
     (strict convergence per row) and falls back to shorter histories —
     and finally to the global stride distribution — when a row is
     exhausted or unseen.
@@ -42,7 +42,7 @@ class StrideTable:
 
     def __init__(
         self,
-        rows: Dict[Tuple[int, ...], Counter],
+        rows: Dict[Tuple[int, ...], Dict[int, int]],
         global_counts: Counter,
         max_history: int = MAX_STRIDE_HISTORY,
     ):
@@ -52,18 +52,23 @@ class StrideTable:
 
     @classmethod
     def fit(cls, strides: Sequence[int], max_history: int = MAX_STRIDE_HISTORY) -> "StrideTable":
-        rows: Dict[Tuple[int, ...], Counter] = {}
-        global_counts: Counter = Counter(strides)
+        # Rows are plain dicts: a table holds one row per distinct history,
+        # and building a Counter for each dominates fitting.
+        strides = tuple(strides)
+        rows: Dict[Tuple[int, ...], Dict[int, int]] = {}
         for index in range(1, len(strides)):
-            for history_length in range(1, max_history + 1):
-                if history_length > index:
-                    break
-                history = tuple(strides[index - history_length : index])
-                rows.setdefault(history, Counter())[strides[index]] += 1
-        return cls(rows, global_counts, max_history)
+            stride = strides[index]
+            for start in range(index - 1, max(index - max_history, 0) - 1, -1):
+                history = strides[start:index]
+                row = rows.get(history)
+                if row is None:
+                    rows[history] = {stride: 1}
+                else:
+                    row[stride] = row.get(stride, 0) + 1
+        return cls(rows, Counter(strides), max_history)
 
     @staticmethod
-    def _sample(counter: Counter, rng: random.Random) -> int:
+    def _sample(counter: Dict[int, int], rng: random.Random) -> int:
         # Sorted keys keep sampling invariant to insertion order, so a
         # deserialized table generates the same stream for the same seed.
         values = sorted(counter.keys())
@@ -97,9 +102,7 @@ class StrideTable:
 
     @classmethod
     def from_dict(cls, data: dict) -> "StrideTable":
-        rows = {
-            tuple(history): Counter(dict(items)) for history, items in data["rows"]
-        }
+        rows = {tuple(history): dict(items) for history, items in data["rows"]}
         return cls(rows, Counter(dict(data["global_counts"])), data["max_history"])
 
 

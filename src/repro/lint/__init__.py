@@ -19,21 +19,10 @@ machine-checked rules:
   consult, the lock-order checker (with the store's ``FileLock``
   hooked into its acquisition graph), and the ``--check-determinism``
   double-run harness.
-"""
 
-from .engine import (
-    SYNTAX_ERROR,
-    UNUSED_SUPPRESSION,
-    Finding,
-    LintContext,
-    LintReport,
-    Rule,
-    all_rules,
-    lint_paths,
-    lint_project,
-    lint_source,
-    register,
-)
+The linter names are re-exported lazily: importing the package (or
+:mod:`repro.lint.sanitize`) does not import the engine.
+"""
 
 __all__ = [
     "SYNTAX_ERROR",
@@ -48,3 +37,14 @@ __all__ = [
     "lint_source",
     "register",
 ]
+
+
+def __getattr__(name: str):
+    # The engine (``ast``, ``tokenize``, the rule registry) loads on first
+    # use (PEP 562), so the simulators, which import only
+    # ``repro.lint.sanitize``, never pay for it.
+    if name in __all__:
+        from . import engine
+
+        return getattr(engine, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -4,6 +4,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.stm import (
     STMAddressModel,
@@ -56,6 +58,49 @@ class TestStrideTable:
         assert restored.rows == table.rows
         assert restored.global_counts == table.global_counts
         assert restored.max_history == table.max_history
+
+
+def counter_fit(strides, max_history):
+    """The reference table: one ``Counter`` per history row."""
+    rows = {}
+    for index in range(1, len(strides)):
+        for history_length in range(1, max_history + 1):
+            if history_length > index:
+                break
+            history = tuple(strides[index - history_length : index])
+            rows.setdefault(history, Counter())[strides[index]] += 1
+    return StrideTable(rows, Counter(strides), max_history)
+
+
+stride_lists = st.lists(
+    st.one_of(st.sampled_from([-64, 0, 64, 128, 4096]), st.integers(-(2**20), 2**20)),
+    max_size=120,
+)
+
+
+class TestStrideTableProperties:
+    @given(stride_lists, st.integers(0, 10))
+    @settings(max_examples=80, deadline=None)
+    def test_fit_matches_counter_reference(self, strides, max_history):
+        table = StrideTable.fit(strides, max_history)
+        reference = counter_fit(strides, max_history)
+        assert table.to_dict() == reference.to_dict()
+        assert list(table.rows) == list(reference.rows)
+
+    @given(stride_lists, st.integers(1, 8), st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_generation_matches_counter_reference(self, strides, max_history, seed):
+        fitted = StrideTable.fit(strides, max_history)
+        restored = StrideTable.from_dict(fitted.to_dict())
+        reference = counter_fit(strides, max_history)
+        streams = []
+        for table in (fitted, restored, reference):
+            rng = random.Random(seed)
+            history = []
+            for _ in range(len(strides) + 5):
+                history.append(table.next_stride(history, rng))
+            streams.append(history)
+        assert streams[0] == streams[1] == streams[2]
 
 
 class TestSTMAddressModel:
